@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nml_escape::{
-    analyze_program_whole_program, analyze_source, analyze_source_scheduled, global_escape, Budget,
-    Engine, EngineConfig, PolyMode, ScheduleOptions,
+    analyze_program_whole_program, analyze_source, analyze_source_with, global_escape,
+    AnalyzeOptions, Budget, Engine, EngineConfig, ScheduleOptions,
 };
 use nml_escape_analysis::corpus;
 use nml_syntax::{parse_program, Symbol};
@@ -103,12 +103,12 @@ fn bench_schedulers(_c: &mut Criterion) {
     let cache_path = std::env::temp_dir().join(format!("nml-bench-cache-{}", std::process::id()));
     let scheduled = |src: &str, options: &ScheduleOptions| {
         black_box(
-            analyze_source_scheduled(
+            analyze_source_with(
                 black_box(src),
-                PolyMode::SimplestInstance,
-                EngineConfig::default(),
-                Budget::unlimited(),
-                options,
+                &AnalyzeOptions {
+                    schedule: options.clone(),
+                    ..AnalyzeOptions::default()
+                },
             )
             .expect("analysis"),
         )
@@ -319,8 +319,9 @@ fn bench_scaling(_c: &mut Criterion) {
 /// together with the tombstone volume each workload generates, so the
 /// cost of `--checked` is diffable across commits.
 fn bench_checked_overhead(_c: &mut Criterion) {
-    use nml_escape_analysis::pipeline::{compile_optimized, run_with};
-    use nml_escape_analysis::runtime::{HeapConfig, InterpConfig};
+    use nml_escape_analysis::opt::OptOptions;
+    use nml_escape_analysis::pipeline::{compile, run, CompileOptions};
+    use nml_escape_analysis::runtime::{Engine as RunEngine, HeapConfig, InterpConfig};
     let workloads: Vec<(&str, &str)> = vec![
         ("partition_sort", corpus::PARTITION_SORT.source),
         ("merge_sort", corpus::MERGE_SORT.source),
@@ -336,14 +337,23 @@ fn bench_checked_overhead(_c: &mut Criterion) {
     let mut json = String::from("{\n");
     println!("group checked_overhead");
     for (wi, (name, src)) in workloads.iter().enumerate() {
-        let compiled = compile_optimized(src).expect("front end");
+        let compiled = compile(
+            src,
+            &CompileOptions {
+                opt: OptOptions::default(),
+                ..CompileOptions::default()
+            },
+        )
+        .expect("front end");
         let plain = median_of(|| {
-            black_box(run_with(&compiled.ir, InterpConfig::default()).expect("plain run"));
+            black_box(
+                run(&compiled.ir, InterpConfig::default(), RunEngine::Tree).expect("plain run"),
+            );
         });
         let checked = median_of(|| {
-            black_box(run_with(&compiled.ir, checked_config()).expect("checked run"));
+            black_box(run(&compiled.ir, checked_config(), RunEngine::Tree).expect("checked run"));
         });
-        let probe = run_with(&compiled.ir, checked_config()).expect("checked run");
+        let probe = run(&compiled.ir, checked_config(), RunEngine::Tree).expect("checked run");
         let tombstoned = probe.stats.tombstoned;
         let reuse_copies = probe.stats.reuse_copies;
         println!(

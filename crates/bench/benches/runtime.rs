@@ -219,7 +219,7 @@ fn interleaved_mins(fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
 }
 
 /// Runs `ir` once on the VM under `config` and returns the run's stats.
-fn vm_stats(ir: &nml_bench::runner::Built, config: &InterpConfig) -> RuntimeStats {
+fn vm_stats(ir: &nml_escape_analysis::pipeline::Compiled, config: &InterpConfig) -> RuntimeStats {
     let mut vm = Vm::with_config(&ir.ir, config.clone()).expect("vm");
     black_box(vm.run().expect("vm run"));
     vm.heap.stats.clone()

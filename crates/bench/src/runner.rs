@@ -1,29 +1,19 @@
 //! Shared machinery for the table generators and criterion benches:
 //! program builders, optimized-variant construction, and measured runs.
 
-use nml_escape::{analyze_source, Analysis};
 use nml_escape_analysis::corpus;
-use nml_opt::{annotate_stack, block_call, lower_program, reuse_variant, IrProgram, ReuseOptions};
+use nml_escape_analysis::pipeline::{compile, CompileOptions, Compiled};
+use nml_opt::{annotate_stack, block_call, reuse_variant, IrProgram, ReuseOptions};
 use nml_runtime::{HeapConfig, Interp, InterpConfig, RuntimeStats};
 use nml_syntax::Symbol;
-
-/// A program together with its analysis and lowered IR.
-pub struct Built {
-    /// The escape analysis (owns program + types).
-    pub analysis: Analysis,
-    /// Lowered IR (possibly already extended with variants).
-    pub ir: IrProgram,
-}
 
 /// Analyzes and lowers `src`.
 ///
 /// # Panics
 ///
 /// Panics on any front-end failure — benchmark sources are fixed.
-pub fn build(src: &str) -> Built {
-    let analysis = analyze_source(src).expect("benchmark source analyzes");
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Built { analysis, ir }
+pub fn build(src: &str) -> Compiled {
+    compile(src, &CompileOptions::default()).expect("benchmark source analyzes")
 }
 
 /// The naive-reverse program with `rev` and its reuse variant `rev_r`.
@@ -32,7 +22,7 @@ pub fn build(src: &str) -> Built {
 ///
 /// Panics if the transformation is rejected (it is licensed by the
 /// analysis for this program).
-pub fn build_rev() -> (Built, Symbol, Symbol) {
+pub fn build_rev() -> (Compiled, Symbol, Symbol) {
     let mut b = build(corpus::REV_NAIVE.source);
     let append_r = reuse_variant(
         &mut b.ir,
@@ -61,7 +51,7 @@ pub fn build_rev() -> (Built, Symbol, Symbol) {
 /// # Panics
 ///
 /// See [`build_rev`].
-pub fn build_ps() -> (Built, Symbol, Symbol) {
+pub fn build_ps() -> (Compiled, Symbol, Symbol) {
     let mut b = build(corpus::PARTITION_SORT.source);
     let append_r = reuse_variant(
         &mut b.ir,
@@ -137,7 +127,7 @@ pub fn repeated_literal_source(n: usize, k: usize) -> String {
 /// # Panics
 ///
 /// Panics if the transformation is rejected.
-pub fn build_repeated_block_variant(n: usize, k: usize) -> Built {
+pub fn build_repeated_block_variant(n: usize, k: usize) -> Compiled {
     let mut b = build(&repeated_consume_source(n, k));
     block_call(
         &mut b.ir,
@@ -150,7 +140,7 @@ pub fn build_repeated_block_variant(n: usize, k: usize) -> Built {
 }
 
 /// Builds [`repeated_literal_source`] with stack allocation applied.
-pub fn build_repeated_stack_variant(n: usize, k: usize) -> Built {
+pub fn build_repeated_stack_variant(n: usize, k: usize) -> Compiled {
     let mut b = build(&repeated_literal_source(n, k));
     annotate_stack(&mut b.ir, &b.analysis);
     b
@@ -162,7 +152,7 @@ pub fn build_repeated_stack_variant(n: usize, k: usize) -> Built {
 /// # Panics
 ///
 /// Panics if the transformation is rejected.
-pub fn build_block_variant(n: usize) -> Built {
+pub fn build_block_variant(n: usize) -> Compiled {
     let mut b = build(&create_consume_source(n));
     block_call(
         &mut b.ir,
@@ -175,7 +165,7 @@ pub fn build_block_variant(n: usize) -> Built {
 }
 
 /// Builds [`sum_literal_source`] with stack allocation applied.
-pub fn build_stack_variant(n: usize) -> Built {
+pub fn build_stack_variant(n: usize) -> Compiled {
     let mut b = build(&sum_literal_source(n));
     annotate_stack(&mut b.ir, &b.analysis);
     b

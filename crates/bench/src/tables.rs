@@ -522,7 +522,7 @@ pub fn table_b0() -> String {
 /// shows it is inert at realistic thresholds (no widenings, identical
 /// verdicts) and what it costs when forced low.
 pub fn table_ab1() -> String {
-    use nml_escape::{analyze_source_with, EngineConfig, PolyMode};
+    use nml_escape::{analyze_source_with, AnalyzeOptions, EngineConfig};
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -537,10 +537,12 @@ pub fn table_ab1() -> String {
     for depth in [1u32, 2, 4, 8, 24] {
         let a = analyze_source_with(
             src,
-            PolyMode::SimplestInstance,
-            EngineConfig {
-                widen_depth: depth,
-                ..Default::default()
+            &AnalyzeOptions {
+                engine: EngineConfig {
+                    widen_depth: depth,
+                    ..Default::default()
+                },
+                ..AnalyzeOptions::default()
             },
         )
         .expect("analysis");
@@ -562,7 +564,7 @@ pub fn table_ab1() -> String {
 /// instance + Theorem 1 transfer) vs route 2 (full monomorphization):
 /// analysis effort and function count.
 pub fn table_ab2() -> String {
-    use nml_escape::{analyze_source_with, EngineConfig, PolyMode};
+    use nml_escape::{analyze_source_with, AnalyzeOptions, PolyMode};
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -580,14 +582,15 @@ pub fn table_ab2() -> String {
         corpus::MERGE_SORT,
         corpus::HIGHER_ORDER,
     ] {
-        let r1 = analyze_source_with(
+        let r1 = analyze_source_with(w.source, &AnalyzeOptions::default()).expect("route 1");
+        let r2 = analyze_source_with(
             w.source,
-            PolyMode::SimplestInstance,
-            EngineConfig::default(),
+            &AnalyzeOptions {
+                mode: PolyMode::Monomorphize,
+                ..AnalyzeOptions::default()
+            },
         )
-        .expect("route 1");
-        let r2 = analyze_source_with(w.source, PolyMode::Monomorphize, EngineConfig::default())
-            .expect("route 2");
+        .expect("route 2");
         let _ = writeln!(
             out,
             "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",

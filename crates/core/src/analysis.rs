@@ -184,37 +184,35 @@ impl fmt::Display for Analysis {
 /// # }
 /// ```
 pub fn analyze_source(src: &str) -> Result<Analysis, AnalyzeError> {
-    analyze_source_with(src, PolyMode::default(), EngineConfig::default())
+    analyze_source_with(src, &AnalyzeOptions::default())
 }
 
-/// Analyzes nml source with explicit polymorphism handling and engine
-/// configuration.
-///
-/// # Errors
-///
-/// See [`analyze_source`].
-pub fn analyze_source_with(
-    src: &str,
-    mode: PolyMode,
-    config: EngineConfig,
-) -> Result<Analysis, AnalyzeError> {
-    analyze_source_governed(src, mode, config, Budget::unlimited())
+/// Everything that shapes a source-level analysis. The default is the
+/// paper's configuration: simplest-instance polymorphism, the default
+/// engine, no budget, serial scheduling and no summary cache.
+#[derive(Debug, Clone, Default)]
+pub struct AnalyzeOptions {
+    /// How polymorphic functions are handled.
+    pub mode: PolyMode,
+    /// Abstract-interpreter configuration.
+    pub engine: EngineConfig,
+    /// Resource budget; on exhaustion the affected functions degrade to
+    /// worst-case summaries instead of failing.
+    pub budget: Budget,
+    /// SCC worker threads and the optional persistent summary cache.
+    pub schedule: ScheduleOptions,
 }
 
-/// Analyzes nml source under a resource [`Budget`]. On exhaustion the
-/// remaining functions degrade to worst-case summaries instead of failing.
+/// Parses, type-checks (monomorphizing first under
+/// [`PolyMode::Monomorphize`]) and analyzes `src` with the
+/// SCC-modular scheduler.
 ///
 /// # Errors
 ///
 /// Only syntax and type errors; the analysis phase itself is total.
-pub fn analyze_source_governed(
-    src: &str,
-    mode: PolyMode,
-    config: EngineConfig,
-    budget: Budget,
-) -> Result<Analysis, AnalyzeError> {
+pub fn analyze_source_with(src: &str, opts: &AnalyzeOptions) -> Result<Analysis, AnalyzeError> {
     let parsed = parse_program(src)?;
-    let (program, info) = match mode {
+    let (program, info) = match opts.mode {
         PolyMode::SimplestInstance => {
             let info = infer_program(&parsed)?;
             (parsed, info)
@@ -224,49 +222,13 @@ pub fn analyze_source_governed(
             (mono.program, mono.info)
         }
     };
-    analyze_program_governed(program, info, config, budget)
-}
-
-/// [`analyze_source_governed`] with explicit [`ScheduleOptions`]: worker
-/// threads per SCC wave and an optional persistent summary cache.
-///
-/// # Errors
-///
-/// Only syntax and type errors; the analysis phase itself is total.
-pub fn analyze_source_scheduled(
-    src: &str,
-    mode: PolyMode,
-    config: EngineConfig,
-    budget: Budget,
-    options: &crate::modular::ScheduleOptions,
-) -> Result<Analysis, AnalyzeError> {
-    let parsed = parse_program(src)?;
-    let (program, info) = match mode {
-        PolyMode::SimplestInstance => {
-            let info = infer_program(&parsed)?;
-            (parsed, info)
-        }
-        PolyMode::Monomorphize => {
-            let mono = infer_and_monomorphize(&parsed)?;
-            (mono.program, mono.info)
-        }
-    };
-    crate::modular::analyze_program_scheduled(program, info, config, budget, options)
-}
-
-/// Analyzes an already-typed program.
-///
-/// # Errors
-///
-/// None in practice: engine faults degrade per function (see
-/// [`analyze_program_governed`]); the `Result` is kept for signature
-/// stability.
-pub fn analyze_program(
-    program: Program,
-    info: TypeInfo,
-    config: EngineConfig,
-) -> Result<Analysis, AnalyzeError> {
-    analyze_program_governed(program, info, config, Budget::unlimited())
+    analyze_program_scheduled(
+        program,
+        info,
+        opts.engine.clone(),
+        opts.budget,
+        &opts.schedule,
+    )
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -286,29 +248,6 @@ pub(crate) fn merge_stats(acc: &mut EngineStats, s: &EngineStats) {
     for (k, v) in &s.updates_per_binding {
         *acc.updates_per_binding.entry(*k).or_default() += v;
     }
-}
-
-/// Analyzes an already-typed program under a resource [`Budget`].
-///
-/// Since the SCC-modular refactor this is a thin wrapper over
-/// [`analyze_program_scheduled`](crate::modular::analyze_program_scheduled)
-/// in serial mode with no cache: the call graph is condensed into SCCs,
-/// each component gets an equal share of the budget, and any fault —
-/// typed engine error, quarantined panic, or budget exhaustion — degrades
-/// that component alone (dependents keep their computed summaries and
-/// are flagged [`DegradeReason::Transitive`]).
-///
-/// # Errors
-///
-/// None in practice; the `Result` is kept for signature stability with
-/// the syntax/type phases.
-pub fn analyze_program_governed(
-    program: Program,
-    info: TypeInfo,
-    config: EngineConfig,
-    budget: Budget,
-) -> Result<Analysis, AnalyzeError> {
-    analyze_program_scheduled(program, info, config, budget, &ScheduleOptions::default())
 }
 
 /// The legacy whole-program driver: one engine, one global fixpoint,
@@ -466,8 +405,10 @@ mod tests {
         let a = analyze_source_with(
             "letrec len l = if (null l) then 0 else 1 + len (cdr l)
              in len [1] + len [[2]]",
-            PolyMode::Monomorphize,
-            EngineConfig::default(),
+            &AnalyzeOptions {
+                mode: PolyMode::Monomorphize,
+                ..AnalyzeOptions::default()
+            },
         )
         .unwrap();
         assert!(

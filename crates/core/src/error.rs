@@ -27,7 +27,7 @@ pub enum EscapeError {
         arity: usize,
     },
     /// The analysis-wide [`crate::budget::Budget`] ran out. The caller can
-    /// (and [`crate::analyze_program`] does) degrade the affected function
+    /// (and [`crate::analyze_source_with`] does) degrade the affected function
     /// to the sound worst-case summary instead of failing.
     BudgetExhausted {
         /// The resource that ran out first.

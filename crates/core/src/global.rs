@@ -55,6 +55,13 @@ impl ParamEscape {
     pub fn retained_spines(&self) -> u32 {
         self.spines - self.escaping_spines().min(self.spines)
     }
+
+    /// Whether the parameter has spines and every one of them may
+    /// escape: a list argument built at the call site flows wholesale
+    /// into the callee's result.
+    pub fn every_spine_escapes(&self) -> bool {
+        self.spines > 0 && self.escaping_spines() >= self.spines
+    }
 }
 
 impl fmt::Display for ParamEscape {
@@ -92,6 +99,12 @@ impl EscapeSummary {
     /// The function's arity.
     pub fn arity(&self) -> usize {
         self.params.len()
+    }
+
+    /// Whether the result type has a spine. A cons in result position
+    /// is then part of the returned value and outlives the call.
+    pub fn result_has_spine(&self) -> bool {
+        self.result_ty.spines() >= 1
     }
 }
 
@@ -226,6 +239,26 @@ mod tests {
     const APPEND: &str = "letrec append x y = if (null x) then y
                                               else cons (car x) (append (cdr x) y)
                           in append [1] [2]";
+
+    /// The two pretenuring predicates on the paper's `append` and on a
+    /// consumer that returns an int.
+    #[test]
+    fn pretenuring_predicates() {
+        let s = summary(APPEND, "append");
+        // x: elements escape, top spine retained — not every spine.
+        assert!(!s.param(0).every_spine_escapes());
+        // y: the whole argument flows into the result.
+        assert!(s.param(1).every_spine_escapes());
+        assert!(s.result_has_spine());
+
+        let sum = summary(
+            "letrec sum l = if (null l) then 0 else car l + sum (cdr l)
+             in sum [1, 2]",
+            "sum",
+        );
+        assert!(!sum.param(0).every_spine_escapes());
+        assert!(!sum.result_has_spine());
+    }
 
     #[test]
     fn paper_append_param1() {

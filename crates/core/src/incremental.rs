@@ -669,8 +669,7 @@ impl Incremental {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{analyze_source_scheduled, PolyMode};
-    use crate::modular::ScheduleOptions;
+    use crate::analysis::{analyze_source_with, AnalyzeOptions};
 
     const BASE: &str = "letrec
         append = lambda(x, y). if (null x) then y
@@ -681,14 +680,7 @@ mod tests {
      in use [1, 2] + car (rot [3])";
 
     fn scratch(src: &str) -> Analysis {
-        analyze_source_scheduled(
-            src,
-            PolyMode::SimplestInstance,
-            EngineConfig::default(),
-            Budget::unlimited(),
-            &ScheduleOptions::default(),
-        )
-        .expect("scratch")
+        analyze_source_with(src, &AnalyzeOptions::default()).expect("scratch")
     }
 
     fn assert_matches_scratch(inc: &Incremental, src: &str) {

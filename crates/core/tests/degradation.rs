@@ -4,8 +4,8 @@
 //! exact tables (paper §5) — never under-approximate them.
 
 use nml_escape::{
-    analyze_source_governed, tabulate_program, Analysis, Be, Budget, DegradeReason, EngineConfig,
-    EscapeError, PolyMode, Resource,
+    analyze_source_with, tabulate_program, Analysis, AnalyzeOptions, Be, Budget, DegradeReason,
+    EngineConfig, EscapeError, Resource,
 };
 use std::time::Duration;
 
@@ -63,8 +63,15 @@ fn deep_spine_node_budget_degrades_soundly() {
         widen_arity: 8,
     };
     let budget = Budget::tight(u32::MAX, 8, None);
-    let analysis = analyze_source_governed(src, PolyMode::SimplestInstance, config, budget)
-        .expect("analysis is total under a budget");
+    let analysis = analyze_source_with(
+        src,
+        &AnalyzeOptions {
+            engine: config,
+            budget,
+            ..AnalyzeOptions::default()
+        },
+    )
+    .expect("analysis is total under a budget");
     assert!(
         !analysis.fully_precise(),
         "an 8-node budget must trip on this program: {:?}",
@@ -93,11 +100,12 @@ fn mutual_recursion_pass_budget_degrades_soundly() {
       pong l = if (null l) then nil else cons (car l) (ping (cdr l))
     in ping [1, 2, 3]";
     let budget = Budget::tight(1, u64::MAX, None);
-    let analysis = analyze_source_governed(
+    let analysis = analyze_source_with(
         src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        budget,
+        &AnalyzeOptions {
+            budget,
+            ..AnalyzeOptions::default()
+        },
     )
     .expect("analysis is total under a budget");
     assert!(!analysis.fully_precise());
@@ -126,11 +134,12 @@ fn expired_deadline_degrades_everything() {
       idl l = if (null l) then nil else cons (car l) (idl (cdr l))
     in len (idl [1, 2])";
     let budget = Budget::tight(u32::MAX, u64::MAX, Some(Duration::ZERO));
-    let analysis = analyze_source_governed(
+    let analysis = analyze_source_with(
         src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        budget,
+        &AnalyzeOptions {
+            budget,
+            ..AnalyzeOptions::default()
+        },
     )
     .expect("analysis is total under a deadline");
     assert!(analysis.is_degraded("len"));
@@ -150,13 +159,7 @@ fn unlimited_budget_is_fully_precise() {
                  else if (null l) then nil
                  else cons (car l) (take (n - 1) (cdr l))
     in take 2 [1, 2, 3]";
-    let analysis = analyze_source_governed(
-        src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        Budget::unlimited(),
-    )
-    .expect("analysis");
+    let analysis = analyze_source_with(src, &AnalyzeOptions::default()).expect("analysis");
     assert!(analysis.fully_precise());
     assert!(analysis.degradations.is_empty());
     // take retains its list parameter's top spine (it rebuilds the spine).

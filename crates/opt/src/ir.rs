@@ -257,9 +257,17 @@ pub fn lower_program_with(program: &Program, _info: &TypeInfo, plan: &LowerPlan)
     for b in &program.bindings {
         let mut params = Vec::new();
         let mut cur = &b.expr;
-        while let ExprKind::Lambda(p, inner) = &cur.kind {
-            params.push(*p);
-            cur = inner;
+        // Monomorphized copies are pinned by an ascription around their
+        // lambdas; it is erased here as everywhere else in lowering.
+        loop {
+            cur = match &cur.kind {
+                ExprKind::Lambda(p, inner) => {
+                    params.push(*p);
+                    inner
+                }
+                ExprKind::Annot(inner, _) => inner,
+                _ => break,
+            };
         }
         let body = lower_expr(cur, &mut next_site, plan);
         funcs.push(IrFunc {

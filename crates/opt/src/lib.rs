@@ -67,7 +67,7 @@ pub use ir::{
     RegionKind, SiteId,
 };
 pub use lastuse::{eligible_sites, occurs_under_lambda, select_sites, EligibleSite};
-pub use pipeline::{auto_block, optimize, OptOptions, OptSummary};
+pub use pipeline::{auto_block, build_ir, optimize, OptOptions, OptSummary};
 pub use pretenure::annotate_pretenure;
 pub use quarantine::{
     apply_quarantine, body_cons_sites, sabotage_elide, sabotage_stack, walk_ir_mut, QuarantineSet,

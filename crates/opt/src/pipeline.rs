@@ -12,11 +12,15 @@
 //!
 //! Block allocation is independent of both (it wraps producer/consumer
 //! call pairs whose spines the analysis retains), and runs in between.
+//!
+//! [`build_ir`] is the whole back half of compilation — lower, run the
+//! passes, inject any sabotage — shared by every front end.
 
 use crate::auto::{auto_reuse, AutoReuse};
 use crate::block::block_call;
-use crate::ir::{IrExpr, IrProgram};
+use crate::ir::{lower_program, IrExpr, IrProgram};
 use crate::pretenure::annotate_pretenure;
+use crate::quarantine::{sabotage_elide, sabotage_stack, SabotagePlan};
 use crate::sroa::annotate_sroa;
 use crate::stack::annotate_stack;
 use nml_escape::Analysis;
@@ -40,7 +44,19 @@ pub struct OptOptions {
     pub sroa: bool,
 }
 
+impl OptOptions {
+    /// No passes: the all-heap lowering.
+    pub const NONE: OptOptions = OptOptions {
+        reuse: false,
+        block: false,
+        stack: false,
+        pretenure: false,
+        sroa: false,
+    };
+}
+
 impl Default for OptOptions {
+    /// Every pass.
     fn default() -> Self {
         OptOptions {
             reuse: true,
@@ -95,6 +111,19 @@ pub fn optimize(ir: &mut IrProgram, analysis: &Analysis, opts: &OptOptions) -> O
         summary.elided_sites = annotate_sroa(ir, analysis);
     }
     summary
+}
+
+/// Lowers `analysis`'s program, runs the passes `opts` selects, then
+/// forces `sabotage`'s deliberate wrong claims (nothing for the empty
+/// plan). Quarantine is a separate
+/// [`apply_quarantine`](crate::apply_quarantine) step: serving
+/// fingerprints the IR between the two.
+pub fn build_ir(analysis: &Analysis, opts: &OptOptions, sabotage: &SabotagePlan) -> IrProgram {
+    let mut ir = lower_program(&analysis.program, &analysis.info);
+    optimize(&mut ir, analysis, opts);
+    sabotage_stack(&mut ir, sabotage);
+    sabotage_elide(&mut ir, sabotage);
+    ir
 }
 
 /// Finds `f (g …)` producer/consumer pairs in the main body where `f`'s
@@ -247,11 +276,8 @@ mod tests {
             &mut ir,
             &analysis,
             &OptOptions {
-                reuse: false,
-                block: false,
                 stack: true,
-                pretenure: false,
-                sroa: false,
+                ..OptOptions::NONE
             },
         );
         assert!(summary.reuse.is_none());

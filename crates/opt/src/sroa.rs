@@ -480,24 +480,4 @@ mod tests {
         );
         assert_eq!(annotate_sroa(&mut ir, &analysis), 1);
     }
-
-    #[test]
-    fn facts_agree_with_escape_class_bridge() {
-        use nml_escape::class_of_state;
-        // Spot-check the lattice→class fold stays consistent with the
-        // coarse classifier's exactness contract on the local side.
-        let (ir, analysis) = prep(
-            "letrec f n = letrec p = cons n nil in car p
-             in f 2",
-        );
-        let facts = analyze_sites(&ir, &analysis);
-        for fact in facts.values() {
-            if fact.state == EscapeState::NoEscape {
-                assert_eq!(
-                    class_of_state(fact.state),
-                    nml_escape::EscapeClass::ProvablyLocal
-                );
-            }
-        }
-    }
 }

@@ -7,7 +7,9 @@
 //!
 //! - an explicit cons [`heap`] with a free list and full allocation
 //!   accounting;
-//! - a mark–sweep garbage collector ([`gc`]) with exact roots;
+//! - a generational mark–sweep garbage collector ([`gc`]) with exact
+//!   roots: a nursery collected by minor GCs, survivors promoted in
+//!   place, and escape-proven sites pretenured into the old space;
 //! - **stack regions** and **blocks** (dynamic extents freed wholesale,
 //!   §A.3.1/§A.3.3), with optional per-pop validation that no region cell
 //!   is still reachable — the analysis's safety claim as a runtime check;
@@ -16,6 +18,7 @@
 //! - **provenance tracking** ([`provenance`]): the paper's *exact* escape
 //!   semantics (§3.2) realized dynamically, used by the soundness tests
 //!   (`dynamic ⊑ abstract`);
+//! - a value renderer ([`render_value`]) shared by every front end;
 //! - **checked-optimization mode** ([`checked`]): claim-driven frees
 //!   tombstone their cells instead of recycling them, so a wrong escape
 //!   claim surfaces as a structured [`SoundnessViolation`] (naming the
@@ -57,6 +60,7 @@ pub mod gc;
 pub mod heap;
 pub mod interp;
 pub mod provenance;
+pub mod render;
 pub mod stats;
 pub mod value;
 pub mod vm;
@@ -69,6 +73,7 @@ pub use gc::mark;
 pub use heap::{CellRef, Heap, HeapConfig, ProvTag, RegionId};
 pub use interp::{Interp, InterpConfig};
 pub use provenance::{dynamic_escape, max_escaping_level, tag_spines, DynamicEscape};
+pub use render::render_value;
 pub use stats::RuntimeStats;
 pub use value::{CaptureEnv, Closure, Env, Value};
 pub use vm::{Engine, Vm};

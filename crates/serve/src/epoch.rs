@@ -38,11 +38,11 @@ use std::sync::{Arc, Mutex};
 
 use nml_escape::Analysis;
 use nml_opt::{
-    apply_quarantine, lower_program, optimize, sabotage_stack, walk_ir, AllocMode, IrExpr,
-    IrProgram, OptOptions, QuarantineSet, RegionKind, SiteId,
+    apply_quarantine, build_ir, walk_ir, AllocMode, IrExpr, IrProgram, QuarantineSet, RegionKind,
+    SiteId,
 };
 
-use crate::server::{lock, ServeConfig, Stats};
+use crate::server::{lock, passes, ServeConfig, Stats};
 use crate::watch::fnv64;
 
 /// Carryable quarantine state, independent of any epoch's site numbering.
@@ -116,11 +116,7 @@ impl Epoch {
         qmap: &CarryMap,
         stats: Arc<Stats>,
     ) -> Epoch {
-        let mut ir = lower_program(&analysis.program, &analysis.info);
-        if cfg.optimize {
-            optimize(&mut ir, analysis, &OptOptions::default());
-        }
-        sabotage_stack(&mut ir, &cfg.sabotage);
+        let mut ir = build_ir(analysis, &passes(cfg.optimize), &cfg.sabotage);
 
         // Fingerprint the pre-quarantine IR: quarantining a site must not
         // change the key under which it is carried forward.
@@ -155,9 +151,7 @@ impl Epoch {
                 }
             }
         }
-        if !qset.is_empty() {
-            apply_quarantine(&mut ir, &qset);
-        }
+        apply_quarantine(&mut ir, &qset);
 
         Epoch {
             id,

@@ -38,14 +38,16 @@ use crate::epoch::{CarryMap, Epoch};
 use crate::json::Json;
 use crate::proto::{self, ErrorKind, EvalRequest, Request};
 use nml_escape::{
-    analyze_source_scheduled, Analysis, Budget, EngineConfig, Incremental, PolyMode,
+    analyze_source_with, Analysis, AnalyzeOptions, Budget, EngineConfig, Incremental,
     ScheduleOptions,
 };
 use nml_opt::{
-    apply_quarantine, lower_program, sabotage_stack, AllocMode, IrProgram, OptOptions,
-    QuarantineSet, SabotagePlan, SiteId,
+    apply_quarantine, build_ir, AllocMode, IrProgram, OptOptions, QuarantineSet, SabotagePlan,
+    SiteId,
 };
-use nml_runtime::{FaultPlan, Heap, HeapConfig, InterpConfig, RuntimeError, Value, Vm};
+use nml_runtime::{
+    render_value, FaultPlan, Heap, HeapConfig, InterpConfig, RuntimeError, Value, Vm,
+};
 use nml_syntax::Symbol;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind as IoKind, Write};
@@ -95,8 +97,8 @@ pub struct ServeConfig {
     pub gen_gc: bool,
     /// Worker nursery size in KiB (see `HeapConfig::nursery_kb`).
     pub nursery_kb: usize,
-    /// Deliberate unsound stack claims (sentinel/chaos testing): forced
-    /// on every compile, then neutralized site-by-site as checked-mode
+    /// Deliberate wrong claims (sentinel/chaos testing): forced on every
+    /// compile, then neutralized site-by-site as checked-mode
     /// violations quarantine them — exactly how a genuine analysis bug
     /// would be worn down at runtime.
     pub sabotage: SabotagePlan,
@@ -417,18 +419,24 @@ fn finish(job: &Job, line: &str) {
 
 /// Runs the governed, SCC-scheduled analysis on `src`.
 fn analyze_for_serve(src: &str, cfg: &ServeConfig) -> Result<Analysis, String> {
-    let sched = ScheduleOptions {
-        jobs: cfg.jobs,
-        summary_cache: cfg.summary_cache.clone(),
+    let opts = AnalyzeOptions {
+        budget: cfg.budget,
+        schedule: ScheduleOptions {
+            jobs: cfg.jobs,
+            summary_cache: cfg.summary_cache.clone(),
+        },
+        ..AnalyzeOptions::default()
     };
-    analyze_source_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        cfg.budget,
-        &sched,
-    )
-    .map_err(|e| e.to_string())
+    analyze_source_with(src, &opts).map_err(|e| e.to_string())
+}
+
+/// The pass set behind [`ServeConfig::optimize`]: all passes or none.
+pub(crate) fn passes(optimize: bool) -> OptOptions {
+    if optimize {
+        OptOptions::default()
+    } else {
+        OptOptions::NONE
+    }
 }
 
 /// Compiles `src` through the governed, SCC-scheduled analysis and the
@@ -444,14 +452,8 @@ pub fn compile_program(
     optimize: bool,
 ) -> Result<IrProgram, String> {
     let analysis = analyze_for_serve(src, cfg)?;
-    let mut ir = lower_program(&analysis.program, &analysis.info);
-    if optimize {
-        nml_opt::optimize(&mut ir, &analysis, &OptOptions::default());
-    }
-    sabotage_stack(&mut ir, &cfg.sabotage);
-    if !quarantine.is_empty() {
-        apply_quarantine(&mut ir, quarantine);
-    }
+    let mut ir = build_ir(&analysis, &passes(optimize), &cfg.sabotage);
+    apply_quarantine(&mut ir, quarantine);
     Ok(ir)
 }
 
@@ -492,69 +494,6 @@ fn build_arg<'p>(heap: &mut Heap<'p>, j: &Json, depth: usize) -> Result<Value<'p
             "unsupported argument {other} (int, bool, or array)"
         )),
     }
-}
-
-/// Renders a result value (same surface syntax as `nmlc run`).
-///
-/// Iterative with an explicit worklist: rendering depth tracks the
-/// value's cons-in-car/tuple nesting, which is data-shaped and not
-/// under the server's control, and a native stack overflow aborts the
-/// process instead of unwinding — straight past `catch_unwind`,
-/// defeating crash isolation.
-fn render_value(heap: &Heap<'_>, v: &Value<'_>) -> Result<String, RuntimeError> {
-    enum Task<'p> {
-        /// Render one value.
-        Val(Value<'p>),
-        /// Continue a list whose remaining tail is this value.
-        Tail(Value<'p>),
-        /// Emit a literal (closers and separators).
-        Lit(&'static str),
-    }
-    let mut out = String::new();
-    let mut work = vec![Task::Val(v.clone())];
-    while let Some(task) = work.pop() {
-        match task {
-            Task::Lit(s) => out.push_str(s),
-            Task::Val(v) => match v {
-                Value::Int(n) => out.push_str(&n.to_string()),
-                Value::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-                Value::Nil => out.push_str("[]"),
-                Value::Tuple(c) => {
-                    let h = heap.car(c)?;
-                    let t = heap.cdr(c)?;
-                    out.push('(');
-                    work.push(Task::Lit(")"));
-                    work.push(Task::Val(t));
-                    work.push(Task::Lit(", "));
-                    work.push(Task::Val(h));
-                }
-                Value::Pair(c) => {
-                    let h = heap.car(c)?;
-                    let t = heap.cdr(c)?;
-                    out.push('[');
-                    work.push(Task::Tail(t));
-                    work.push(Task::Val(h));
-                }
-                other => {
-                    out.push('<');
-                    out.push_str(other.kind());
-                    out.push('>');
-                }
-            },
-            Task::Tail(v) => match v {
-                Value::Pair(c) => {
-                    let h = heap.car(c)?;
-                    let t = heap.cdr(c)?;
-                    out.push_str(", ");
-                    work.push(Task::Tail(t));
-                    work.push(Task::Val(h));
-                }
-                // Nil or an improper tail ends the list, as before.
-                _ => out.push(']'),
-            },
-        }
-    }
-    Ok(out)
 }
 
 pub(crate) enum ReqError {
@@ -1261,48 +1200,6 @@ pub fn serve(src: &str, socket: &Path, cfg: &ServeConfig) -> Result<ServerReport
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// 100k levels of cons-in-car nesting, built directly on a heap
-    /// (the guest type system bounds nesting per program, but the
-    /// renderer must not bank on that): recursive rendering would
-    /// overflow the native stack and abort the process.
-    #[test]
-    fn render_value_handles_deep_nesting_iteratively() {
-        let mut heap = Heap::new(HeapConfig::default());
-        let mut acc = Value::Nil;
-        for _ in 0..100_000 {
-            let cell = heap.alloc(acc, Value::Nil, AllocMode::Heap);
-            acc = Value::Pair(cell);
-        }
-        let s = render_value(&heap, &acc).expect("render");
-        assert_eq!(s.len(), 2 * 100_000 + 2, "100k nested singleton lists");
-        assert!(s.starts_with("[[[") && s.ends_with("]]]"));
-
-        // Deep tuple-in-tuple nesting exercises the other recursive arm.
-        let mut acc = Value::Int(1);
-        for _ in 0..100_000 {
-            let cell = heap.alloc(acc, Value::Int(0), AllocMode::Heap);
-            acc = Value::Tuple(cell);
-        }
-        let s = render_value(&heap, &acc).expect("render tuples");
-        assert!(
-            s.starts_with("(((") && s.ends_with("0), 0)"),
-            "{}",
-            &s[s.len() - 16..]
-        );
-    }
-
-    #[test]
-    fn render_value_list_shapes() {
-        let mut heap = Heap::new(HeapConfig::default());
-        let inner = heap.alloc(Value::Int(2), Value::Nil, AllocMode::Heap);
-        let outer = heap.alloc(Value::Int(1), Value::Pair(inner), AllocMode::Heap);
-        let s = render_value(&heap, &Value::Pair(outer)).expect("render");
-        assert_eq!(s, "[1, 2]");
-        let t = heap.alloc(Value::Int(1), Value::Bool(true), AllocMode::Heap);
-        assert_eq!(render_value(&heap, &Value::Tuple(t)).unwrap(), "(1, true)");
-        assert_eq!(render_value(&heap, &Value::Nil).unwrap(), "[]");
-    }
 
     /// `build_arg` is depth-limited in its own right, independent of
     /// the protocol parser's limit.

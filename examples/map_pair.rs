@@ -16,7 +16,9 @@
 //! ```
 
 use nml_escape_analysis::escape::{local_escape, Engine};
-use nml_escape_analysis::pipeline::run;
+use nml_escape_analysis::opt::OptOptions;
+use nml_escape_analysis::pipeline::{compile, compile_with_local_stack_alloc, run, CompileOptions};
+use nml_escape_analysis::runtime::{Engine as RunEngine, InterpConfig};
 use nml_escape_analysis::syntax::parse_program;
 use nml_escape_analysis::types::infer_and_monomorphize;
 
@@ -55,10 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // local-test-driven plan (on the monomorphized program) licenses
     // BOTH spines — all 9 literal cells vanish when the call returns.
     println!("\n=== stack allocation of the literal (local plan) ===");
-    let baseline = run(&nml_escape_analysis::pipeline::compile(SRC)?.ir)?;
-    let compiled = nml_escape_analysis::pipeline::compile_with_local_stack_alloc(SRC)?;
+    let baseline = compile(SRC, &CompileOptions::default())?;
+    let baseline = run(&baseline.ir, InterpConfig::default(), RunEngine::Tree)?;
+    let compiled = compile_with_local_stack_alloc(SRC, &OptOptions::NONE)?;
     println!("{}", compiled.ir.body);
-    let optimized = run(&compiled.ir)?;
+    let optimized = run(&compiled.ir, InterpConfig::default(), RunEngine::Tree)?;
 
     assert_eq!(baseline.result, optimized.result);
     println!("result (both): {}", optimized.result);

@@ -15,12 +15,13 @@
 //! function; `--strict` turns those warnings into errors.
 
 use nml_escape_analysis::escape::{
-    Analysis, AnalyzeError, Budget, EngineConfig, PolyMode, ScheduleOptions,
+    analyze_source_with, Analysis, AnalyzeError, AnalyzeOptions, Budget, EngineConfig, PolyMode,
+    ScheduleOptions,
 };
-use nml_escape_analysis::opt::{OptOptions, SabotagePlan, SiteId};
+use nml_escape_analysis::opt::{OptOptions, SiteId};
 use nml_escape_analysis::pipeline::{
-    compile_optimized_scheduled, compile_scheduled, compile_with_local_stack_alloc, run_checked,
-    run_with_engine, CheckedOptions, Compiled, PipelineError,
+    compile, compile_with_local_stack_alloc, render_value_on, run, run_checked, CheckedOptions,
+    CompileOptions, Compiled, PipelineError,
 };
 use nml_escape_analysis::runtime::{Engine, FaultPlan, FaultRate, InterpConfig};
 use nml_escape_analysis::serve::json::Json;
@@ -481,21 +482,12 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     if has_flag(rest, "--watch") {
         return cmd_analyze_watch(rest, &path, &src);
     }
-    let mode = if has_flag(rest, "--mono") {
-        PolyMode::Monomorphize
-    } else {
-        PolyMode::SimplestInstance
-    };
-    let budget = budget_from_flags(rest)?;
-    let options = schedule_from_flags(rest)?;
-    let analysis = nml_escape_analysis::escape::analyze_source_scheduled(
-        &src,
-        mode,
-        EngineConfig::default(),
-        budget,
-        &options,
-    )
-    .map_err(|e| render_pipeline_err(PipelineError::Analyze(e), &src))?;
+    let mut opts = analyze_options(rest)?;
+    if has_flag(rest, "--mono") {
+        opts.mode = PolyMode::Monomorphize;
+    }
+    let analysis = analyze_source_with(&src, &opts)
+        .map_err(|e| render_pipeline_err(PipelineError::Analyze(e), &src))?;
     report_schedule(&analysis, rest);
     report_degradations(&analysis, has_flag(rest, "--strict"))?;
     if has_flag(rest, "--report") {
@@ -610,64 +602,81 @@ fn cmd_gen_corpus(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Picks the compilation pipeline from the optimization flags, threading
-/// the analysis budget through, and applies the degradation policy.
-fn compile_for(rest: &[String], src: &str) -> Result<Compiled, String> {
-    let budget = budget_from_flags(rest)?;
-    let options = schedule_from_flags(rest)?;
-    let mode = PolyMode::SimplestInstance;
-    let compiled = if has_flag(rest, "-O") || has_flag(rest, "--optimize") {
-        compile_optimized_scheduled(src, mode, budget, &options)
-    } else if has_flag(rest, "--local-stack-alloc") {
-        // The local planner re-analyzes per call site with its own engine;
-        // it does not take a budget. Refuse the combination instead of
-        // silently ignoring the flags.
-        if budget != Budget::unlimited() {
-            return Err(
-                "budget flags are not supported with --local-stack-alloc; use --stack-alloc"
-                    .to_owned(),
-            );
-        }
-        compile_with_local_stack_alloc(src)
-    } else if has_flag(rest, "--stack-alloc") {
-        compile_scheduled(src, mode, budget, &options).map(|mut c| {
-            nml_escape_analysis::opt::annotate_stack(&mut c.ir, &c.analysis);
-            c
-        })
-    } else if has_flag(rest, "--auto-reuse") {
-        compile_scheduled(src, mode, budget, &options).map(|mut c| {
-            nml_escape_analysis::opt::auto_reuse(&mut c.ir, &c.analysis);
-            c
-        })
-    } else {
-        compile_scheduled(src, mode, budget, &options)
-    };
-    let mut compiled = compiled.map_err(|e| render_pipeline_err(e, src))?;
-    apply_sroa_policy(rest, &mut compiled)?;
-    report_schedule(&compiled.analysis, rest);
-    report_degradations(&compiled.analysis, has_flag(rest, "--strict"))?;
-    Ok(compiled)
+/// The analysis the budget and scheduling flags ask for.
+fn analyze_options(rest: &[String]) -> Result<AnalyzeOptions, String> {
+    Ok(AnalyzeOptions {
+        budget: budget_from_flags(rest)?,
+        schedule: schedule_from_flags(rest)?,
+        ..AnalyzeOptions::default()
+    })
 }
 
-/// SROA defaults on under the VM (the only engine that scalarizes) and
-/// off under the tree-walking oracle; `--sroa` / `--no-sroa` override.
-/// The mark is only a license — the bytecode compiler independently
-/// re-verifies each site — so forcing it on is always safe.
-fn apply_sroa_policy(rest: &[String], compiled: &mut Compiled) -> Result<(), String> {
-    let on = if has_flag(rest, "--no-sroa") {
+/// The compile the flags ask for. The optimization flags pick the pass
+/// set — `-O` every pass, `--stack-alloc` the stack pass, `--auto-reuse`
+/// the reuse driver, `--local-stack-alloc` none (its plan is applied
+/// while lowering), anything else `default`. SROA then defaults on
+/// under the VM (the only engine that scalarizes) and off under the
+/// tree-walking oracle; `--sroa` / `--no-sroa` override. The mark is
+/// only a license — the bytecode compiler independently re-verifies
+/// each site — so forcing it on is always safe.
+fn compile_options(rest: &[String], default: OptOptions) -> Result<CompileOptions, String> {
+    let mut opt = if optimize_flag(rest) {
+        OptOptions::default()
+    } else if has_flag(rest, "--local-stack-alloc") {
+        OptOptions::NONE
+    } else if has_flag(rest, "--stack-alloc") {
+        OptOptions {
+            stack: true,
+            ..OptOptions::NONE
+        }
+    } else if has_flag(rest, "--auto-reuse") {
+        OptOptions {
+            reuse: true,
+            ..OptOptions::NONE
+        }
+    } else {
+        default
+    };
+    opt.sroa = if has_flag(rest, "--no-sroa") {
         false
     } else if has_flag(rest, "--sroa") {
         true
     } else {
         engine_from_flags(rest)? == Engine::Vm
     };
-    if on {
-        nml_escape_analysis::opt::annotate_sroa(&mut compiled.ir, &compiled.analysis);
+    Ok(CompileOptions {
+        analyze: analyze_options(rest)?,
+        opt,
+        ..CompileOptions::default()
+    })
+}
+
+fn optimize_flag(rest: &[String]) -> bool {
+    has_flag(rest, "-O") || has_flag(rest, "--optimize")
+}
+
+/// Compiles `src` as the flags say and applies the degradation policy.
+fn compile_for(rest: &[String], src: &str) -> Result<Compiled, String> {
+    let opts = compile_options(rest, OptOptions::NONE)?;
+    // `-O` wins over `--local-stack-alloc`.
+    let compiled = if has_flag(rest, "--local-stack-alloc") && !optimize_flag(rest) {
+        // The local planner re-analyzes per call site with its own engine;
+        // it does not take a budget. Refuse the combination instead of
+        // silently ignoring the flags.
+        if opts.analyze.budget != Budget::unlimited() {
+            return Err(
+                "budget flags are not supported with --local-stack-alloc; use --stack-alloc"
+                    .to_owned(),
+            );
+        }
+        compile_with_local_stack_alloc(src, &opts.opt)
     } else {
-        // Undo any marks the `-O` pass manager already placed.
-        nml_escape_analysis::opt::strip_sroa(&mut compiled.ir);
-    }
-    Ok(())
+        compile(src, &opts)
+    };
+    let compiled = compiled.map_err(|e| render_pipeline_err(e, src))?;
+    report_schedule(&compiled.analysis, rest);
+    report_degradations(&compiled.analysis, has_flag(rest, "--strict"))?;
+    Ok(compiled)
 }
 
 fn cmd_ir(rest: &[String]) -> Result<(), String> {
@@ -692,7 +701,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     if has_flag(rest, "--profile") {
         return run_profiled(&compiled, config, engine, has_flag(rest, "--stats"));
     }
-    let outcome = run_with_engine(&compiled.ir, config, engine).map_err(|e| e.to_string())?;
+    let outcome = run(&compiled.ir, config, engine).map_err(|e| e.to_string())?;
     println!("{}", outcome.result);
     if has_flag(rest, "--stats") {
         println!("--- runtime statistics ---");
@@ -711,10 +720,10 @@ fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
             "--checked is not supported with --local-stack-alloc; use --stack-alloc".to_owned(),
         );
     }
-    let budget = budget_from_flags(rest)?;
-    let sched = schedule_from_flags(rest)?;
+    // Plain `--checked` (with or without -O) checks every pass.
     let mut copts = CheckedOptions {
         engine: engine_from_flags(rest)?,
+        compile: compile_options(rest, OptOptions::default())?,
         ..CheckedOptions::default()
     };
     if let Some(n) = parse_num_flag::<u32>(rest, "--max-retries")? {
@@ -723,36 +732,14 @@ fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
     if let Some(p) = flag_value(rest, "--quarantine-file") {
         copts.quarantine_path = Some(PathBuf::from(p));
     }
-    // Narrow the pass set when a single-pass flag was given; plain
-    // `--checked` (with or without -O) checks the full pass manager.
-    if has_flag(rest, "--stack-alloc") {
-        copts.opt = OptOptions {
-            reuse: false,
-            block: false,
-            stack: true,
-            pretenure: false,
-            sroa: false,
-        };
-    } else if has_flag(rest, "--auto-reuse") {
-        copts.opt = OptOptions {
-            reuse: true,
-            block: false,
-            stack: false,
-            pretenure: false,
-            sroa: false,
-        };
-    }
-    if has_flag(rest, "--sroa") {
-        copts.opt.sroa = true;
-    }
-    if has_flag(rest, "--no-sroa") {
-        copts.opt.sroa = false;
-    }
+    let sabotage = &mut copts.compile.sabotage;
     if let Some(list) = flag_value(rest, "--fault-unsound-stack") {
-        copts.sabotage = SabotagePlan::stack(parse_site_list(list, "--fault-unsound-stack")?);
+        sabotage.stack_sites = parse_site_list(list, "--fault-unsound-stack")?
+            .into_iter()
+            .collect();
     }
     if let Some(list) = flag_value(rest, "--fault-unsound-elide") {
-        copts.sabotage.elide_sites = parse_site_list(list, "--fault-unsound-elide")?
+        sabotage.elide_sites = parse_site_list(list, "--fault-unsound-elide")?
             .into_iter()
             .collect();
     }
@@ -761,15 +748,8 @@ fn cmd_run_checked(rest: &[String], src: &str) -> Result<(), String> {
         ..InterpConfig::default()
     };
     resource_flags_into(rest, &mut config)?;
-    let (out, compiled) = run_checked(
-        src,
-        PolyMode::SimplestInstance,
-        budget,
-        &sched,
-        &copts,
-        &config,
-    )
-    .map_err(|e| render_pipeline_err(e, src))?;
+    let (out, compiled) =
+        run_checked(src, &copts, &config).map_err(|e| render_pipeline_err(e, src))?;
     report_schedule(&compiled.analysis, rest);
     report_degradations(&compiled.analysis, has_flag(rest, "--strict"))?;
     println!("{}", out.result);
@@ -1041,16 +1021,14 @@ fn run_profiled(
             let mut interp =
                 Interp::with_config(&compiled.ir, config).map_err(|e| e.to_string())?;
             let v = interp.run().map_err(|e| e.to_string())?;
-            let rendered = nml_escape_analysis::pipeline::render_value(&interp, &v)
-                .map_err(|e| e.to_string())?;
+            let rendered = render_value_on(&interp.heap, &v).map_err(|e| e.to_string())?;
             println!("{rendered}");
             report_hot_sites(&interp.heap, compiled, stats);
         }
         Engine::Vm => {
             let mut vm = Vm::with_config(&compiled.ir, config).map_err(|e| e.to_string())?;
             let v = vm.run().map_err(|e| e.to_string())?;
-            let rendered = nml_escape_analysis::pipeline::render_value_on(&vm.heap, &v)
-                .map_err(|e| e.to_string())?;
+            let rendered = render_value_on(&vm.heap, &v).map_err(|e| e.to_string())?;
             println!("{rendered}");
             report_hot_sites(&vm.heap, compiled, stats);
         }

@@ -10,11 +10,11 @@
 //! | [`types`] | Hindley–Milner inference, `car^s` annotation, monomorphization |
 //! | [`escape`] | the paper's analysis: escape domains, abstract semantics, fixpoint engine, global/local tests, sharing, polymorphic invariance |
 //! | [`opt`] | the derived optimizations: `DCONS` in-place reuse, stack regions, block allocation |
-//! | [`runtime`] | instrumented interpreter: heap, mark–sweep GC, regions, provenance (the exact escape semantics, dynamically) |
+//! | [`runtime`] | instrumented interpreter: heap, generational mark–sweep GC, regions, provenance (the exact escape semantics, dynamically) |
 //!
 //! This facade re-exports each crate under a short name and provides the
-//! [`pipeline`] convenience API used by the examples and the `nmlc`
-//! driver.
+//! [`pipeline`] API — one `compile` and one `run` entry point — shared by
+//! the examples, the `nmlc` driver and the benchmark harness.
 //!
 //! ## Quick start
 //!

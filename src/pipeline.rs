@@ -1,31 +1,30 @@
 //! One-call pipelines: source → analysis → optimized IR → instrumented
 //! execution.
 //!
-//! These helpers glue the workspace crates together for the examples, the
-//! `nmlc` driver, and the benchmark harness. Each step is also available
-//! à la carte from the individual crates.
+//! [`compile`] is the single compile path — [`analyze_source_with`]
+//! followed by [`build_ir`] — used by the `nmlc` driver, the checked
+//! driver ([`run_checked`]) and the benchmark harness; [`run`] executes
+//! the result on either engine. Each step is also available à la carte
+//! from the individual crates.
 
-use nml_escape::{
-    analyze_program_scheduled, analyze_source, analyze_source_governed, Analysis, AnalyzeError,
-    Budget, EngineConfig, PolyMode, ScheduleOptions,
-};
+use nml_escape::{analyze_source_with, Analysis, AnalyzeError, AnalyzeOptions, PolyMode};
 use nml_opt::{
-    annotate_stack, apply_quarantine, lower_program, sabotage_elide, sabotage_stack, IrProgram,
-    OptOptions, QuarantineSet, SabotagePlan, SiteId,
+    apply_quarantine, build_ir, IrProgram, OptOptions, QuarantineSet, SabotagePlan, SiteId,
 };
 use nml_runtime::{
-    Engine, Heap, Interp, InterpConfig, RuntimeError, RuntimeStats, SoundnessViolation, Value, Vm,
+    Engine, Interp, InterpConfig, RuntimeError, RuntimeStats, SoundnessViolation, Vm,
 };
-use nml_syntax::parse_program;
-use nml_types::{infer_and_monomorphize, infer_program};
 use std::fmt;
 use std::path::PathBuf;
 
-/// Everything the front half of the pipeline produces.
+/// Renders a value in the surface syntax; see [`nml_runtime::render_value`].
+pub use nml_runtime::render_value as render_value_on;
+
+/// What [`compile`] produces.
 pub struct Compiled {
     /// The escape analysis (owns the program and type info).
     pub analysis: Analysis,
-    /// The lowered, all-heap IR.
+    /// The lowered IR, storage-annotated by the selected passes.
     pub ir: IrProgram,
 }
 
@@ -61,149 +60,71 @@ impl From<RuntimeError> for PipelineError {
     }
 }
 
-/// Parses, type-checks, analyzes, and lowers `src`.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Analyze`] for any front-end failure.
-pub fn compile(src: &str) -> Result<Compiled, PipelineError> {
-    let analysis = analyze_source(src)?;
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Ok(Compiled { analysis, ir })
+/// Everything that shapes a compile: the analysis, the optimization
+/// passes, and any deliberate wrong-claim injection. The default is the
+/// plain all-heap lowering (no passes, no sabotage).
+#[derive(Debug, Clone)]
+pub struct CompileOptions {
+    /// Polymorphism mode, engine, budget and scheduling of the analysis.
+    pub analyze: AnalyzeOptions,
+    /// Which optimization passes to run.
+    pub opt: OptOptions,
+    /// Deliberate wrong-claim injection (tests, `--fault-unsound-*`);
+    /// empty by default.
+    pub sabotage: SabotagePlan,
 }
 
-/// [`compile`] under an analysis resource [`Budget`]. On budget
-/// exhaustion (or an engine fault) the affected functions are degraded to
-/// sound worst-case summaries and the pipeline continues; the events are
-/// in `compiled.analysis.degradations`.
-///
-/// # Errors
-///
-/// Syntax and type errors only — the analysis phase is total.
-pub fn compile_governed(src: &str, budget: Budget) -> Result<Compiled, PipelineError> {
-    let analysis = analyze_source_governed(
-        src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        budget,
-    )?;
-    let ir = lower_program(&analysis.program, &analysis.info);
-    Ok(Compiled { analysis, ir })
-}
-
-/// [`compile_governed`] with explicit scheduling: worker threads per SCC
-/// wave (`--jobs`) and an optional persistent summary cache
-/// (`--summary-cache`). Serial with no cache is exactly
-/// [`compile_governed`].
-///
-/// # Errors
-///
-/// Syntax and type errors only — the analysis phase is total.
-pub fn compile_scheduled(
-    src: &str,
-    mode: PolyMode,
-    budget: Budget,
-    options: &ScheduleOptions,
-) -> Result<Compiled, PipelineError> {
-    let parsed = parse_program(src).map_err(AnalyzeError::from)?;
-    let (program, info) = match mode {
-        PolyMode::SimplestInstance => {
-            let info = infer_program(&parsed).map_err(AnalyzeError::from)?;
-            (parsed, info)
+impl Default for CompileOptions {
+    fn default() -> Self {
+        CompileOptions {
+            analyze: AnalyzeOptions::default(),
+            opt: OptOptions::NONE,
+            sabotage: SabotagePlan::default(),
         }
-        PolyMode::Monomorphize => {
-            let mono = infer_and_monomorphize(&parsed).map_err(AnalyzeError::from)?;
-            (mono.program, mono.info)
-        }
-    };
-    let analysis =
-        analyze_program_scheduled(program, info, EngineConfig::default(), budget, options)?;
-    let ir = lower_program(&analysis.program, &analysis.info);
+    }
+}
+
+/// Parses, type-checks, analyzes, lowers and optimizes `src` as `opts`
+/// says. Under an analysis budget, exhaustion degrades the affected
+/// functions to sound worst-case summaries (recorded in
+/// `compiled.analysis.degradations`) and every pass skips them.
+///
+/// # Errors
+///
+/// [`PipelineError::Analyze`] for syntax and type errors — the analysis
+/// phase itself is total.
+pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, PipelineError> {
+    let analysis = analyze_source_with(src, &opts.analyze)?;
+    let ir = build_ir(&analysis, &opts.opt, &opts.sabotage);
     Ok(Compiled { analysis, ir })
-}
-
-/// [`compile_scheduled`] followed by the full optimization pass manager.
-///
-/// # Errors
-///
-/// See [`compile_scheduled`].
-pub fn compile_optimized_scheduled(
-    src: &str,
-    mode: PolyMode,
-    budget: Budget,
-    options: &ScheduleOptions,
-) -> Result<Compiled, PipelineError> {
-    let mut c = compile_scheduled(src, mode, budget, options)?;
-    nml_opt::optimize(&mut c.ir, &c.analysis, &nml_opt::OptOptions::default());
-    Ok(c)
-}
-
-/// [`compile_governed`] followed by the full optimization pass manager.
-/// Degraded functions are skipped by every pass.
-///
-/// # Errors
-///
-/// See [`compile_governed`].
-pub fn compile_optimized_governed(src: &str, budget: Budget) -> Result<Compiled, PipelineError> {
-    let mut c = compile_governed(src, budget)?;
-    nml_opt::optimize(&mut c.ir, &c.analysis, &nml_opt::OptOptions::default());
-    Ok(c)
-}
-
-/// Parses, analyzes, lowers, and applies the (global-summary-driven)
-/// stack-allocation pass.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_with_stack_alloc(src: &str) -> Result<Compiled, PipelineError> {
-    let mut c = compile(src)?;
-    annotate_stack(&mut c.ir, &c.analysis);
-    Ok(c)
 }
 
 /// Parses, **monomorphizes**, analyzes, and lowers with the local-escape-
-/// test-driven stack-allocation plan (paper §4.2): per-call precision, so
-/// e.g. both spines of `map pair [[1,2],[3,4],[5,6]]`'s literal are
-/// stacked, not just the top one.
+/// test-driven stack-allocation plan (paper §4.2), then runs the passes
+/// `opt` selects: per-call precision, so e.g. both spines of
+/// `map pair [[1,2],[3,4],[5,6]]`'s literal are stacked, not just the
+/// top one.
 ///
 /// # Errors
 ///
 /// See [`compile`]; additionally surfaces analysis divergence from the
 /// planner.
-pub fn compile_with_local_stack_alloc(src: &str) -> Result<Compiled, PipelineError> {
-    use nml_escape::{EngineConfig, PolyMode};
-    let analysis =
-        nml_escape::analyze_source_with(src, PolyMode::Monomorphize, EngineConfig::default())?;
+pub fn compile_with_local_stack_alloc(
+    src: &str,
+    opt: &OptOptions,
+) -> Result<Compiled, PipelineError> {
+    let analysis = analyze_source_with(
+        src,
+        &AnalyzeOptions {
+            mode: PolyMode::Monomorphize,
+            ..AnalyzeOptions::default()
+        },
+    )?;
     let plan = nml_opt::plan_stack_allocation(&analysis.program, &analysis.info)
-        .map_err(|e| PipelineError::Analyze(nml_escape::AnalyzeError::Escape(e)))?;
-    let ir = nml_opt::lower_program_with(&analysis.program, &analysis.info, &plan);
+        .map_err(|e| PipelineError::Analyze(AnalyzeError::Escape(e)))?;
+    let mut ir = nml_opt::lower_program_with(&analysis.program, &analysis.info, &plan);
+    nml_opt::optimize(&mut ir, &analysis, opt);
     Ok(Compiled { analysis, ir })
-}
-
-/// Parses, analyzes, lowers, and runs the §6 automatic in-place-reuse
-/// driver: every eligible function gets a `DCONS` variant and every
-/// main-body call with a provably unshared argument is redirected.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_with_auto_reuse(src: &str) -> Result<Compiled, PipelineError> {
-    let mut c = compile(src)?;
-    nml_opt::auto_reuse(&mut c.ir, &c.analysis);
-    Ok(c)
-}
-
-/// Parses, analyzes, lowers, and runs the full optimization pass manager
-/// (reuse → block → stack, the sound order).
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_optimized(src: &str) -> Result<Compiled, PipelineError> {
-    let mut c = compile(src)?;
-    nml_opt::optimize(&mut c.ir, &c.analysis, &nml_opt::OptOptions::default());
-    Ok(c)
 }
 
 /// The outcome of running a program: a printable result digest plus the
@@ -216,38 +137,17 @@ pub struct RunOutcome {
     pub stats: RuntimeStats,
 }
 
-/// Runs the IR's body and renders the result (int lists and scalars
-/// render fully; other values render by kind). Uses the tree-walking
-/// interpreter; [`run_with_engine`] selects an engine explicitly.
+/// Runs the IR on the selected execution engine and renders the result.
+/// Both engines produce identical results and errors; the VM is the
+/// production path, the tree-walker the oracle. Allocation statistics
+/// agree too, unless the IR carries [`nml_opt::AllocMode::Elided`]
+/// marks — the VM scalarizes those sites away (`allocs_elided`) while
+/// the tree-walker, by design, still allocates them.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Runtime`] for any execution failure.
-pub fn run(ir: &IrProgram) -> Result<RunOutcome, PipelineError> {
-    run_with(ir, InterpConfig::default())
-}
-
-/// Runs the IR on the tree-walking interpreter with an explicit
-/// configuration (the differential oracle path).
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(ir: &IrProgram, config: InterpConfig) -> Result<RunOutcome, PipelineError> {
-    run_with_engine(ir, config, Engine::Tree)
-}
-
-/// Runs the IR on the selected execution engine. Both engines produce
-/// identical results and errors; the VM is the production path, the
-/// tree-walker the oracle. Allocation statistics agree too, unless the
-/// IR carries [`nml_opt::AllocMode::Elided`] marks — the VM scalarizes
-/// those sites away (`allocs_elided`) while the tree-walker, by design,
-/// still allocates them.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with_engine(
+pub fn run(
     ir: &IrProgram,
     config: InterpConfig,
     engine: Engine,
@@ -280,11 +180,9 @@ pub struct CheckedOptions {
     /// Re-executions allowed after violations before degrading to the
     /// fully unoptimized interpreter.
     pub max_retries: u32,
-    /// Which optimization passes to run on each attempt.
-    pub opt: OptOptions,
-    /// Deliberate wrong-claim injection (tests, `--fault-unsound-stack`);
-    /// empty by default.
-    pub sabotage: SabotagePlan,
+    /// How each attempt compiles: the analysis, the passes to check, and
+    /// any sabotage. Every pass by default.
+    pub compile: CompileOptions,
     /// Where to load/persist the quarantine set (`None` = in-memory
     /// only, starting empty).
     pub quarantine_path: Option<PathBuf>,
@@ -297,8 +195,10 @@ impl Default for CheckedOptions {
     fn default() -> Self {
         CheckedOptions {
             max_retries: 8,
-            opt: OptOptions::default(),
-            sabotage: SabotagePlan::default(),
+            compile: CompileOptions {
+                opt: OptOptions::default(),
+                ..CompileOptions::default()
+            },
             quarantine_path: None,
             engine: Engine::default(),
         }
@@ -335,12 +235,12 @@ pub struct CheckedOutcome {
     pub degraded_unoptimized: bool,
 }
 
-/// The checked-optimization driver: compile with the full pass manager,
-/// execute under the tombstoning heap, and on a [`SoundnessViolation`]
-/// quarantine the offending site, re-plan with that site's optimization
-/// disabled, and re-execute — up to `max_retries` times before degrading
-/// to the fully unoptimized interpreter, which cannot violate (it makes
-/// no claims).
+/// The checked-optimization driver: analyze once, build the IR with the
+/// selected passes, execute under the tombstoning heap, and on a
+/// [`SoundnessViolation`] quarantine the offending site, rebuild with
+/// that site's optimization disabled, and re-execute — up to
+/// `max_retries` times before degrading to the fully unoptimized
+/// interpreter, which cannot violate (it makes no claims).
 ///
 /// The quarantine set persists across calls through
 /// `opts.quarantine_path`, so a site disproved once stays disabled.
@@ -353,9 +253,6 @@ pub struct CheckedOutcome {
 /// violations are consumed by the retry loop, never returned.
 pub fn run_checked(
     src: &str,
-    mode: PolyMode,
-    budget: Budget,
-    sched: &ScheduleOptions,
     opts: &CheckedOptions,
     base_config: &InterpConfig,
 ) -> Result<(CheckedOutcome, Compiled), PipelineError> {
@@ -366,23 +263,21 @@ pub fn run_checked(
     if let Some(w) = quarantine_warning {
         eprintln!("warning: quarantine file: {w}");
     }
+    let analysis = analyze_source_with(src, &opts.compile.analyze)?;
     let mut records: Vec<QuarantineRecord> = Vec::new();
     let mut violations = 0u64;
     let mut attempts = 0u32;
     let mut degraded = false;
 
-    let (outcome, compiled) = loop {
+    let (outcome, ir) = loop {
         let attempt = attempts;
         attempts += 1;
-        let mut compiled = compile_scheduled(src, mode, budget, sched)?;
-        nml_opt::optimize(&mut compiled.ir, &compiled.analysis, &opts.opt);
-        sabotage_stack(&mut compiled.ir, &opts.sabotage);
-        sabotage_elide(&mut compiled.ir, &opts.sabotage);
-        apply_quarantine(&mut compiled.ir, &quarantine);
+        let mut ir = build_ir(&analysis, &opts.compile.opt, &opts.compile.sabotage);
+        apply_quarantine(&mut ir, &quarantine);
         let mut config = base_config.clone();
         config.heap.checked = true;
-        match run_with_engine(&compiled.ir, config, opts.engine) {
-            Ok(out) => break (out, compiled),
+        match run(&ir, config, opts.engine) {
+            Ok(out) => break (out, ir),
             Err(PipelineError::Runtime(RuntimeError::Soundness(v))) => {
                 violations += 1;
                 let quarantinable = v
@@ -414,9 +309,9 @@ pub fn run_checked(
                         }
                         degraded = true;
                         attempts += 1;
-                        let compiled = compile_scheduled(src, mode, budget, sched)?;
-                        let out = run_with_engine(&compiled.ir, base_config.clone(), opts.engine)?;
-                        break (out, compiled);
+                        let ir = build_ir(&analysis, &OptOptions::NONE, &SabotagePlan::default());
+                        let out = run(&ir, base_config.clone(), opts.engine)?;
+                        break (out, ir);
                     }
                 }
             }
@@ -441,84 +336,29 @@ pub fn run_checked(
             attempts,
             degraded_unoptimized: degraded,
         },
-        compiled,
+        Compiled { analysis, ir },
     ))
-}
-
-/// Renders a value, chasing list structure through the heap. Works for
-/// either engine — only the heap is consulted.
-///
-/// # Errors
-///
-/// Propagates heap access failures (dangling cells).
-pub fn render_value_on(heap: &Heap<'_>, v: &Value<'_>) -> Result<String, RuntimeError> {
-    fn go(heap: &Heap<'_>, v: &Value<'_>, out: &mut String) -> Result<(), RuntimeError> {
-        match v {
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Nil => out.push_str("[]"),
-            Value::Tuple(c) => {
-                out.push('(');
-                let h = heap.car(*c)?;
-                go(heap, &h, out)?;
-                out.push_str(", ");
-                let t = heap.cdr(*c)?;
-                go(heap, &t, out)?;
-                out.push(')');
-            }
-            Value::Pair(_) => {
-                out.push('[');
-                let mut cur = v.clone();
-                let mut first = true;
-                while let Value::Pair(c) = cur {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    let head = heap.car(c)?;
-                    go(heap, &head, out)?;
-                    cur = heap.cdr(c)?;
-                }
-                out.push(']');
-            }
-            other => {
-                out.push('<');
-                out.push_str(other.kind());
-                out.push('>');
-            }
-        }
-        Ok(())
-    }
-    let mut out = String::new();
-    go(heap, v, &mut out)?;
-    Ok(out)
-}
-
-/// Renders a value against an interpreter's heap (kept for callers that
-/// hold an [`Interp`]; see [`render_value_on`]).
-///
-/// # Errors
-///
-/// Propagates heap access failures (dangling cells).
-pub fn render_value(interp: &Interp<'_>, v: &Value<'_>) -> Result<String, RuntimeError> {
-    render_value_on(&interp.heap, v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run_tree(ir: &IrProgram) -> RunOutcome {
+        run(ir, InterpConfig::default(), Engine::Tree).unwrap()
+    }
+
     #[test]
     fn compile_and_run_quick() {
-        let c = compile("letrec inc x = x + 1 in inc 41").unwrap();
-        let out = run(&c.ir).unwrap();
+        let c = compile("letrec inc x = x + 1 in inc 41", &CompileOptions::default()).unwrap();
+        let out = run(&c.ir, InterpConfig::default(), Engine::Tree).unwrap();
         assert_eq!(out.result, "42");
     }
 
     #[test]
     fn run_renders_nested_lists() {
-        let c = compile("[[1, 2], [3]]").unwrap();
-        let out = run(&c.ir).unwrap();
+        let c = compile("[[1, 2], [3]]", &CompileOptions::default()).unwrap();
+        let out = run(&c.ir, InterpConfig::default(), Engine::Tree).unwrap();
         assert_eq!(out.result, "[[1, 2], [3]]");
     }
 
@@ -526,8 +366,15 @@ mod tests {
     fn stack_alloc_pipeline_reduces_heap_allocs() {
         let src = "letrec sum l = if (null l) then 0 else car l + sum (cdr l)
                    in sum [1, 2, 3, 4]";
-        let plain = run(&compile(src).unwrap().ir).unwrap();
-        let stacked = run(&compile_with_stack_alloc(src).unwrap().ir).unwrap();
+        let plain = run_tree(&compile(src, &CompileOptions::default()).unwrap().ir);
+        let stack_only = CompileOptions {
+            opt: OptOptions {
+                stack: true,
+                ..OptOptions::NONE
+            },
+            ..CompileOptions::default()
+        };
+        let stacked = run_tree(&compile(src, &stack_only).unwrap().ir);
         assert_eq!(plain.result, stacked.result);
         assert_eq!(plain.stats.heap_allocs, 4);
         assert_eq!(stacked.stats.heap_allocs, 0);
@@ -542,8 +389,12 @@ mod tests {
           map f l = if (null l) then nil
                     else cons (f (car l)) (map f (cdr l))
         in map pair [[1,2],[3,4],[5,6]]";
-        let base = run(&compile(src).unwrap().ir).unwrap();
-        let local = run(&compile_with_local_stack_alloc(src).unwrap().ir).unwrap();
+        let base = run_tree(&compile(src, &CompileOptions::default()).unwrap().ir);
+        let local = run_tree(
+            &compile_with_local_stack_alloc(src, &OptOptions::NONE)
+                .unwrap()
+                .ir,
+        );
         assert_eq!(base.result, local.result);
         // 9 literal cells (3 top spine + 6 inner spines) go to the stack;
         // only pair's fresh result cells stay on the heap.
@@ -554,8 +405,15 @@ mod tests {
 
     #[test]
     fn errors_propagate() {
-        assert!(matches!(compile("1 +"), Err(PipelineError::Analyze(_))));
-        let c = compile("1 / 0").unwrap();
-        assert!(matches!(run(&c.ir), Err(PipelineError::Runtime(_))));
+        let opts = CompileOptions::default();
+        assert!(matches!(
+            compile("1 +", &opts),
+            Err(PipelineError::Analyze(_))
+        ));
+        let c = compile("1 / 0", &opts).unwrap();
+        assert!(matches!(
+            run(&c.ir, InterpConfig::default(), Engine::Tree),
+            Err(PipelineError::Runtime(_))
+        ));
     }
 }

@@ -205,10 +205,7 @@ mod tests {
 
     #[test]
     fn transitive_degradation_names_its_origin() {
-        use nml_escape::{
-            analyze_source_scheduled, Budget, DegradeReason, EngineConfig, PolyMode,
-            ScheduleOptions,
-        };
+        use nml_escape::{analyze_source_with, AnalyzeOptions, Budget, DegradeReason};
         // `len` depends on a six-function cycle. The apportioned node
         // budget is enough for `len`'s whole solve but not for the
         // cycle's slot fixpoint, so the cycle degrades to worst-case
@@ -227,12 +224,12 @@ mod tests {
             max_nodes: 40,
             ..Budget::unlimited()
         };
-        let analysis = analyze_source_scheduled(
+        let analysis = analyze_source_with(
             src,
-            PolyMode::SimplestInstance,
-            EngineConfig::default(),
-            budget,
-            &ScheduleOptions::default(),
+            &AnalyzeOptions {
+                budget,
+                ..AnalyzeOptions::default()
+            },
         )
         .unwrap();
         assert!(analysis.is_degraded("p1"));

@@ -5,9 +5,7 @@
 //! worst corruption can do is cost a re-analysis.
 
 use nml_escape_analysis::escape::cache::SummaryCache;
-use nml_escape_analysis::escape::{
-    analyze_source_scheduled, Analysis, Budget, EngineConfig, PolyMode, ScheduleOptions,
-};
+use nml_escape_analysis::escape::{analyze_source_with, Analysis, AnalyzeOptions, ScheduleOptions};
 use std::path::{Path, PathBuf};
 
 const SRC: &str = "letrec
@@ -28,12 +26,12 @@ fn scheduled(src: &str, cache: &Path) -> Analysis {
         summary_cache: Some(cache.to_path_buf()),
         ..ScheduleOptions::default()
     };
-    analyze_source_scheduled(
+    analyze_source_with(
         src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        Budget::unlimited(),
-        &options,
+        &AnalyzeOptions {
+            schedule: options.clone(),
+            ..AnalyzeOptions::default()
+        },
     )
     .expect("scheduled analysis")
 }

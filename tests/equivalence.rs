@@ -8,8 +8,8 @@
 
 use nml_escape_analysis::corpus;
 use nml_escape_analysis::escape::{
-    analyze_program_whole_program, analyze_source_scheduled, unshared_from_summary, Analysis, Be,
-    Budget, EngineConfig, EscapeSummary, PolyMode, ScheduleOptions,
+    analyze_program_whole_program, analyze_source_with, unshared_from_summary, Analysis,
+    AnalyzeOptions, Be, Budget, EngineConfig, EscapeSummary, ScheduleOptions,
 };
 use nml_escape_analysis::syntax::{parse_program, Symbol};
 use nml_escape_analysis::types::infer_program;
@@ -26,12 +26,12 @@ fn whole_program(src: &str) -> Analysis {
 
 /// The SCC-modular analysis with explicit scheduling options.
 fn scheduled(src: &str, options: &ScheduleOptions) -> Analysis {
-    analyze_source_scheduled(
+    analyze_source_with(
         src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        Budget::unlimited(),
-        options,
+        &AnalyzeOptions {
+            schedule: options.clone(),
+            ..AnalyzeOptions::default()
+        },
     )
     .expect("scheduled analysis")
 }

@@ -11,12 +11,11 @@
 //!    the unoptimized program on a fault-free interpreter.
 
 use nml_escape_analysis::escape::{
-    reference_global, tabulate_program, Budget, PolyMode, ScheduleOptions,
+    reference_global, tabulate_program, AnalyzeOptions, Budget, ScheduleOptions,
 };
-use nml_escape_analysis::pipeline::{
-    compile_governed, compile_optimized_governed, run_checked, run_with, CheckedOptions,
-};
-use nml_escape_analysis::runtime::{FaultPlan, FaultRate, HeapConfig, InterpConfig};
+use nml_escape_analysis::opt::OptOptions;
+use nml_escape_analysis::pipeline::{compile, run, run_checked, CheckedOptions, CompileOptions};
+use nml_escape_analysis::runtime::{Engine, FaultPlan, FaultRate, HeapConfig, InterpConfig};
 use proptest::prelude::*;
 
 /// Every generated program shares this first-order prelude; the strategy
@@ -124,6 +123,13 @@ fn sched() -> ScheduleOptions {
     }
 }
 
+/// `opts` with its analysis scheduled by [`sched`].
+fn scheduled(opts: &CheckedOptions) -> CheckedOptions {
+    let mut opts = opts.clone();
+    opts.compile.analyze.schedule = sched();
+    opts
+}
+
 /// A fault-free oracle interpreter.
 fn clean_config() -> InterpConfig {
     InterpConfig::default()
@@ -157,7 +163,7 @@ proptest! {
     ) {
         // 1. Totality: the governed front end must never fail (the
         //    generated programs are well-typed) and never panic.
-        let compiled = compile_governed(&src, budget).expect("front end is total");
+        let compiled = compile(&src, &CompileOptions { analyze: AnalyzeOptions { budget, ..AnalyzeOptions::default() }, ..CompileOptions::default() }).expect("front end is total");
 
         // 2. Soundness of every (possibly degraded) summary against the
         //    reference interpreter's exact tables.
@@ -179,9 +185,9 @@ proptest! {
         //    oracle; the optimized program must match it even while the
         //    fault plan is retreating allocations, denying regions, and
         //    forcing collections.
-        let oracle = run_with(&compiled.ir, clean_config()).expect("clean run");
-        let optimized = compile_optimized_governed(&src, budget).expect("front end is total");
-        let faulted = run_with(&optimized.ir, faulted_config(plan))
+        let oracle = run(&compiled.ir, clean_config(), Engine::Tree).expect("clean run");
+        let optimized = compile(&src, &CompileOptions { analyze: AnalyzeOptions { budget, ..AnalyzeOptions::default() }, opt: OptOptions::default(), ..CompileOptions::default() }).expect("front end is total");
+        let faulted = run(&optimized.ir, faulted_config(plan), Engine::Tree)
             .expect("faults are recoverable: the run must still finish");
         prop_assert_eq!(&oracle.result, &faulted.result, "{}", src);
     }
@@ -195,16 +201,9 @@ proptest! {
         src in program(),
         plan in fault_plan(),
     ) {
-        let compiled = compile_governed(&src, Budget::unlimited()).expect("front end");
-        let oracle = run_with(&compiled.ir, clean_config()).expect("clean run");
-        let (out, _) = run_checked(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-            &CheckedOptions::default(),
-            &faulted_config(plan),
-        )
+        let compiled = compile(&src, &CompileOptions::default()).expect("front end");
+        let oracle = run(&compiled.ir, clean_config(), Engine::Tree).expect("clean run");
+        let (out, _) = run_checked(&src, &scheduled(&CheckedOptions::default()), &faulted_config(plan))
         .expect("checked+faulted run finishes");
         prop_assert_eq!(&out.result, &oracle.result, "{}", src);
         prop_assert_eq!(out.stats.violations, 0, "{}: fault noise misread as unsoundness", src);
@@ -221,10 +220,10 @@ proptest! {
         cap in 1u64..24,
         seed in any::<u64>(),
     ) {
-        let compiled = compile_governed(&src, Budget::unlimited()).expect("front end");
-        let oracle = run_with(&compiled.ir, clean_config()).expect("clean run");
+        let compiled = compile(&src, &CompileOptions::default()).expect("front end");
+        let oracle = run(&compiled.ir, clean_config(), Engine::Tree).expect("clean run");
         let plan = FaultPlan::new(seed).with_heap_capacity(cap);
-        match run_with(&compiled.ir, faulted_config(plan)) {
+        match run(&compiled.ir, faulted_config(plan), Engine::Tree) {
             Ok(out) => prop_assert_eq!(&out.result, &oracle.result, "{}", src),
             Err(e) => {
                 let shown = e.to_string();

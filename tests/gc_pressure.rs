@@ -25,11 +25,9 @@
 //!
 //! Scheduling follows `NML_TEST_JOBS` like the equivalence suite.
 
-use nml_escape_analysis::escape::{Budget, PolyMode, ScheduleOptions};
-use nml_escape_analysis::opt::{body_cons_sites, SabotagePlan};
-use nml_escape_analysis::pipeline::{
-    compile_optimized_scheduled, compile_scheduled, run_checked, run_with_engine, CheckedOptions,
-};
+use nml_escape_analysis::escape::{AnalyzeOptions, ScheduleOptions};
+use nml_escape_analysis::opt::{body_cons_sites, OptOptions, SabotagePlan};
+use nml_escape_analysis::pipeline::{compile, run, run_checked, CheckedOptions, CompileOptions};
 use nml_escape_analysis::runtime::{Engine, HeapConfig, InterpConfig};
 
 const PRELUDE: &str = "letrec
@@ -65,6 +63,32 @@ fn sched() -> ScheduleOptions {
     }
 }
 
+/// The all-heap compile, analyzed under [`sched`].
+fn plain() -> CompileOptions {
+    CompileOptions {
+        analyze: AnalyzeOptions {
+            schedule: sched(),
+            ..AnalyzeOptions::default()
+        },
+        ..CompileOptions::default()
+    }
+}
+
+/// Every pass, analyzed under [`sched`].
+fn optimized() -> CompileOptions {
+    CompileOptions {
+        opt: OptOptions::default(),
+        ..plain()
+    }
+}
+
+/// `opts` with its analysis scheduled by [`sched`].
+fn scheduled(opts: &CheckedOptions) -> CheckedOptions {
+    let mut opts = opts.clone();
+    opts.compile.analyze.schedule = sched();
+    opts
+}
+
 /// A pressured generational config: `nursery_kb` KiB of nursery and a
 /// small major threshold so both collection kinds fire.
 fn pressured(nursery_kb: usize) -> InterpConfig {
@@ -80,14 +104,8 @@ fn pressured(nursery_kb: usize) -> InterpConfig {
 
 /// The unpressured, unoptimized tree-walking oracle.
 fn oracle(src: &str) -> String {
-    let c = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
-    run_with_engine(&c.ir, InterpConfig::default(), Engine::Tree)
+    let c = compile(src, &plain()).expect("front end");
+    run(&c.ir, InterpConfig::default(), Engine::Tree)
         .expect("oracle run")
         .result
 }
@@ -100,16 +118,10 @@ fn engines_agree_under_tiny_nursery_plain() {
     for body in WORKLOADS {
         let src = format!("{PRELUDE}{body}");
         let want = oracle(&src);
-        let c = compile_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
-        .expect("front end");
+        let c = compile(&src, &plain()).expect("front end");
         for nursery_kb in [1, 2, 4] {
             for engine in [Engine::Tree, Engine::Vm] {
-                let out = run_with_engine(&c.ir, pressured(nursery_kb), engine)
+                let out = run(&c.ir, pressured(nursery_kb), engine)
                     .unwrap_or_else(|e| panic!("{body} @ {nursery_kb}KiB {engine:?}: {e}"));
                 assert_eq!(out.result, want, "{body} @ {nursery_kb}KiB {engine:?}");
                 assert!(
@@ -133,16 +145,10 @@ fn engines_agree_under_tiny_nursery_optimized() {
     for body in WORKLOADS {
         let src = format!("{PRELUDE}{body}");
         let want = oracle(&src);
-        let c = compile_optimized_scheduled(
-            &src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-        )
-        .expect("front end");
+        let c = compile(&src, &optimized()).expect("front end");
         for nursery_kb in [1, 4] {
             for engine in [Engine::Tree, Engine::Vm] {
-                let out = run_with_engine(&c.ir, pressured(nursery_kb), engine)
+                let out = run(&c.ir, pressured(nursery_kb), engine)
                     .unwrap_or_else(|e| panic!("{body} @ {nursery_kb}KiB {engine:?}: {e}"));
                 assert_eq!(out.result, want, "{body} @ {nursery_kb}KiB {engine:?}");
             }
@@ -164,15 +170,8 @@ fn checked_mode_is_transparent_under_tiny_nursery() {
                 engine,
                 ..CheckedOptions::default()
             };
-            let (out, _) = run_checked(
-                &src,
-                PolyMode::SimplestInstance,
-                Budget::unlimited(),
-                &sched(),
-                &opts,
-                &pressured(1),
-            )
-            .expect("checked run");
+            let (out, _) =
+                run_checked(&src, &scheduled(&opts), &pressured(1)).expect("checked run");
             assert_eq!(out.result, want, "{body} {engine:?}");
             assert_eq!(out.stats.violations, 0, "{body} {engine:?}");
             assert_eq!(out.attempts, 1, "{body} {engine:?}");
@@ -200,13 +199,7 @@ fn tombstoned_claim_survives_promotion_and_attributes_correctly() {
 in keepfirst [7, 8, 9] (sum (mklist 400))";
     let want = oracle(src);
     assert_eq!(want, "[7, 8, 9]");
-    let compiled = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let compiled = compile(src, &plain()).expect("front end");
     let sites = body_cons_sites(&compiled.ir);
     assert_eq!(sites.len(), 3, "the literal's three cons cells");
     for engine in [Engine::Tree, Engine::Vm] {
@@ -216,29 +209,19 @@ in keepfirst [7, 8, 9] (sum (mklist 400))";
         // test to promote the literal before its frame pops.
         let opts = CheckedOptions {
             max_retries: 8,
-            sabotage: SabotagePlan::stack(sites.clone()),
             engine,
-            opt: nml_escape_analysis::opt::OptOptions {
-                reuse: false,
-                block: false,
-                stack: false,
-                pretenure: false,
+            compile: CompileOptions {
                 // SROA would *remove* the storm's allocations outright
                 // (and desynchronize the engines' allocation sequences
                 // under pressure); keep every cell real.
-                sroa: false,
+                opt: OptOptions::NONE,
+                sabotage: SabotagePlan::stack(sites.clone()),
+                ..plain()
             },
             ..CheckedOptions::default()
         };
-        let (out, _) = run_checked(
-            src,
-            PolyMode::SimplestInstance,
-            Budget::unlimited(),
-            &sched(),
-            &opts,
-            &pressured(1),
-        )
-        .expect("checked run recovers");
+        let (out, _) =
+            run_checked(src, &scheduled(&opts), &pressured(1)).expect("checked run recovers");
         assert_eq!(out.result, want, "{engine:?}");
         assert!(!out.degraded_unoptimized, "{engine:?}");
         assert_eq!(out.stats.violations, 3, "{engine:?}");
@@ -265,23 +248,11 @@ in keepfirst [7, 8, 9] (sum (mklist 400))";
 fn pretenuring_routes_escaping_sites_to_old_space() {
     let src = "letrec mklist n = if n = 0 then nil else cons n (mklist (n - 1))
                in mklist 200";
-    let plain = compile_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
-    let opt = compile_optimized_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        Budget::unlimited(),
-        &sched(),
-    )
-    .expect("front end");
+    let plain = compile(src, &plain()).expect("front end");
+    let opt = compile(src, &optimized()).expect("front end");
     for engine in [Engine::Tree, Engine::Vm] {
-        let base = run_with_engine(&plain.ir, pressured(1), engine).expect("plain run");
-        let tuned = run_with_engine(&opt.ir, pressured(1), engine).expect("optimized run");
+        let base = run(&plain.ir, pressured(1), engine).expect("plain run");
+        let tuned = run(&opt.ir, pressured(1), engine).expect("optimized run");
         assert_eq!(base.result, tuned.result, "{engine:?}");
         assert_eq!(
             base.stats.pretenured, 0,

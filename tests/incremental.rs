@@ -14,24 +14,14 @@
 //!    nothing else. An update whose pretty-printed form is unchanged
 //!    re-solves nothing.
 
-use nml_escape_analysis::escape::{
-    analyze_source_scheduled, Analysis, Budget, EngineConfig, Incremental, PolyMode,
-    ScheduleOptions,
-};
+use nml_escape_analysis::escape::{analyze_source_with, Analysis, AnalyzeOptions, Incremental};
 use nml_escape_analysis::syntax::callgraph::CallGraph;
 use nml_escape_analysis::syntax::{parse_program, pretty_program};
 use proptest::prelude::*;
 
 /// The from-scratch oracle: a cold SCC-scheduled analysis.
 fn scratch(src: &str) -> Analysis {
-    analyze_source_scheduled(
-        src,
-        PolyMode::SimplestInstance,
-        EngineConfig::default(),
-        Budget::unlimited(),
-        &ScheduleOptions::default(),
-    )
-    .expect("scratch analysis")
+    analyze_source_with(src, &AnalyzeOptions::default()).expect("scratch analysis")
 }
 
 fn assert_matches_scratch(label: &str, incremental: &Analysis, src: &str) {

@@ -5,9 +5,9 @@
 
 use nml_escape_analysis::corpus;
 use nml_escape_analysis::escape::analyze_source;
-use nml_escape_analysis::opt::lower_program;
-use nml_escape_analysis::pipeline::{compile, compile_with_stack_alloc, run, run_with};
-use nml_escape_analysis::runtime::{HeapConfig, Interp, InterpConfig};
+use nml_escape_analysis::opt::{lower_program, OptOptions};
+use nml_escape_analysis::pipeline::{compile, render_value_on, run, CompileOptions};
+use nml_escape_analysis::runtime::{Engine, HeapConfig, Interp, InterpConfig};
 use nml_escape_analysis::syntax::{parse_program, pretty_program};
 use nml_escape_analysis::types::{infer_and_monomorphize, infer_program};
 
@@ -74,8 +74,10 @@ fn corpus_analyzes_with_summaries_for_all_functions() {
 #[test]
 fn corpus_runs_to_a_value() {
     for w in corpus::ALL {
-        let c = compile(w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let out = run(&c.ir).unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name));
+        let c = compile(w.source, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let out = run(&c.ir, InterpConfig::default(), Engine::Tree)
+            .unwrap_or_else(|e| panic!("{} failed to run: {e}", w.name));
         assert!(!out.result.is_empty(), "{}: empty result", w.name);
     }
 }
@@ -88,14 +90,13 @@ fn monomorphized_corpus_computes_identical_results() {
         let base_ir = lower_program(&p, &info);
         let mut base = Interp::new(&base_ir).expect("interp");
         let base_v = base.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let base_text =
-            nml_escape_analysis::pipeline::render_value(&base, &base_v).expect("render");
+        let base_text = render_value_on(&base.heap, &base_v).expect("render");
 
         let mono = infer_and_monomorphize(&p).expect("mono");
         let mono_ir = lower_program(&mono.program, &mono.info);
         let mut m = Interp::new(&mono_ir).expect("interp");
         let mono_v = m.run().unwrap_or_else(|e| panic!("{} (mono): {e}", w.name));
-        let mono_text = nml_escape_analysis::pipeline::render_value(&m, &mono_v).expect("render");
+        let mono_text = render_value_on(&m.heap, &mono_v).expect("render");
 
         assert_eq!(
             base_text, mono_text,
@@ -118,9 +119,11 @@ fn corpus_runs_under_gc_pressure() {
         ..Default::default()
     };
     for w in corpus::ALL {
-        let c = compile(w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let base = run(&c.ir).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let stressed = run_with(&c.ir, config.clone())
+        let c = compile(w.source, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let base = run(&c.ir, InterpConfig::default(), Engine::Tree)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let stressed = run(&c.ir, config.clone(), Engine::Tree)
             .unwrap_or_else(|e| panic!("{} under GC pressure: {e}", w.name));
         assert_eq!(
             base.result, stressed.result,
@@ -143,9 +146,25 @@ fn corpus_stack_allocation_never_changes_results() {
         ..Default::default()
     };
     for w in corpus::ALL {
-        let base = run(&compile(w.source).unwrap().ir).unwrap();
-        let stacked_ir = compile_with_stack_alloc(w.source).unwrap().ir;
-        let stacked = run_with(&stacked_ir, config.clone())
+        let base = run(
+            &compile(w.source, &CompileOptions::default()).unwrap().ir,
+            InterpConfig::default(),
+            Engine::Tree,
+        )
+        .unwrap();
+        let stacked_ir = compile(
+            w.source,
+            &CompileOptions {
+                opt: OptOptions {
+                    stack: true,
+                    ..OptOptions::NONE
+                },
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap()
+        .ir;
+        let stacked = run(&stacked_ir, config.clone(), Engine::Tree)
             .unwrap_or_else(|e| panic!("{} with stack allocation: {e}", w.name));
         assert_eq!(
             base.result, stacked.result,
@@ -171,11 +190,22 @@ fn corpus_full_optimization_never_changes_results() {
         ..Default::default()
     };
     for w in corpus::ALL {
-        let base = run(&compile(w.source).unwrap().ir).unwrap();
-        let optimized_ir = nml_escape_analysis::pipeline::compile_optimized(w.source)
-            .unwrap()
-            .ir;
-        let optimized = run_with(&optimized_ir, config.clone())
+        let base = run(
+            &compile(w.source, &CompileOptions::default()).unwrap().ir,
+            InterpConfig::default(),
+            Engine::Tree,
+        )
+        .unwrap();
+        let optimized_ir = compile(
+            w.source,
+            &CompileOptions {
+                opt: OptOptions::default(),
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap()
+        .ir;
+        let optimized = run(&optimized_ir, config.clone(), Engine::Tree)
             .unwrap_or_else(|e| panic!("{} fully optimized: {e}", w.name));
         assert_eq!(
             base.result, optimized.result,
@@ -185,9 +215,25 @@ fn corpus_full_optimization_never_changes_results() {
     }
 }
 
+/// Runs `nmlc <cmd> <path> <args…>`, asserts success, returns stdout.
+fn nmlc(cmd: &str, path: &std::path::Path, args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nmlc"))
+        .arg(cmd)
+        .arg(path)
+        .args(args)
+        .output()
+        .expect("nmlc runs");
+    assert!(
+        out.status.success(),
+        "nmlc {cmd} {} {args:?} failed:\n{}",
+        path.display(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
 #[test]
 fn shipped_programs_run_under_every_nmlc_mode() {
-    let exe = env!("CARGO_BIN_EXE_nmlc");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
     let mut count = 0;
     for entry in std::fs::read_dir(&dir).expect("programs dir exists") {
@@ -196,26 +242,23 @@ fn shipped_programs_run_under_every_nmlc_mode() {
             continue;
         }
         count += 1;
-        for mode in [
-            vec!["check"],
-            vec!["analyze"],
-            vec!["analyze", "--report"],
-            vec!["run"],
-            vec!["run", "--stack-alloc"],
-            vec!["run", "--auto-reuse"],
-            vec!["run", "-O"],
+        for mode in [vec!["check"], vec!["analyze"], vec!["analyze", "--report"]] {
+            nmlc(mode[0], &path, &mode[1..]);
+        }
+        // Every execution mode prints the tree-walking oracle's value.
+        let oracle = nmlc("run", &path, &["--engine=tree"]);
+        for flags in [
+            vec![],
+            vec!["--stack-alloc"],
+            vec!["--local-stack-alloc"],
+            vec!["--auto-reuse"],
+            vec!["-O"],
         ] {
-            let mut cmd = std::process::Command::new(exe);
-            cmd.arg(mode[0]).arg(&path);
-            for a in &mode[1..] {
-                cmd.arg(a);
-            }
-            let out = cmd.output().expect("nmlc runs");
-            assert!(
-                out.status.success(),
-                "nmlc {mode:?} {} failed:\n{}",
-                path.display(),
-                String::from_utf8_lossy(&out.stderr)
+            assert_eq!(
+                nmlc("run", &path, &flags),
+                oracle,
+                "nmlc run {} {flags:?}",
+                path.display()
             );
         }
     }
@@ -223,6 +266,54 @@ fn shipped_programs_run_under_every_nmlc_mode() {
         count >= 5,
         "expected the shipped .nml programs, found {count}"
     );
+}
+
+/// Pins nmlc's flag → pass-set mapping on a program whose one
+/// scalar-replaceable cell is allocated 100 times: every optimization
+/// flag keeps SROA under the VM, the tree-walker defaults it off,
+/// `--sroa` forces the (inert) mark back on there, and `--no-sroa`
+/// strips it under the VM.
+#[test]
+fn nmlc_flags_pick_the_documented_pass_set() {
+    let path = std::env::temp_dir().join("nmlc_pass_set_test.nml");
+    std::fs::write(
+        &path,
+        "letrec
+           step i acc = letrec t = cons i (cons acc nil)
+                        in (car t) * 2 + car (cdr t);
+           loop n acc = if n = 0 then acc else loop (n - 1) (step n acc)
+         in loop 100 0",
+    )
+    .expect("write temp file");
+    for (flags, elided, marked) in [
+        (vec![], 100, true),
+        (vec!["-O"], 100, true),
+        (vec!["--stack-alloc"], 100, true),
+        (vec!["--auto-reuse"], 100, true),
+        (vec!["--local-stack-alloc"], 100, true),
+        (vec!["-O", "--engine=tree"], 0, false),
+        (vec!["-O", "--engine=tree", "--sroa"], 0, true),
+        (vec!["-O", "--no-sroa"], 0, false),
+    ] {
+        let mut run_args = flags.clone();
+        run_args.push("--stats");
+        let stats = nmlc("run", &path, &run_args);
+        assert!(
+            stats.starts_with("10100\n"),
+            "nmlc run {flags:?}: wrong value:\n{stats}"
+        );
+        assert!(
+            stats.contains(&format!(" elided={elided} ")),
+            "nmlc run {flags:?}: expected elided={elided}:\n{stats}"
+        );
+        let ir = nmlc("ir", &path, &flags);
+        assert_eq!(
+            ir.contains("cons[elided]"),
+            marked,
+            "nmlc ir {flags:?}: elide marks {}expected:\n{ir}",
+            if marked { "" } else { "not " }
+        );
+    }
 }
 
 #[test]
