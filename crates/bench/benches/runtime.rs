@@ -17,7 +17,7 @@ use nml_bench::runner::{
     build, build_ps, build_rev, build_stack_variant, create_consume_source,
     repeated_consume_source, sum_literal_source,
 };
-use nml_runtime::{HeapConfig, Interp, InterpConfig, RuntimeStats, Value, Vm};
+use nml_runtime::{Interp, InterpConfig, RuntimeStats, Value, Vm};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -79,25 +79,6 @@ fn bench_stack_alloc(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-/// Medians a closure over 3 warm-up + 9 timed runs.
-fn median_of<F: FnMut()>(mut f: F) -> Duration {
-    for _ in 0..3 {
-        f();
-    }
-    // Minimum, not median: scheduler preemption and frequency dips are
-    // strictly additive noise, so the fastest observation is the best
-    // estimate of the undisturbed runtime — and the only one stable
-    // enough for cross-engine ratios on a shared box.
-    (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .min()
-        .expect("nonempty samples")
 }
 
 /// The corpus workloads scaled to interpretation-dominated sizes. Every
@@ -222,15 +203,14 @@ fn interleaved_mins(fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
 fn vm_stats(ir: &nml_escape_analysis::pipeline::Compiled, config: &InterpConfig) -> RuntimeStats {
     let mut vm = Vm::with_config(&ir.ir, config.clone()).expect("vm");
     black_box(vm.run().expect("vm run"));
-    vm.heap.stats.clone()
+    vm.heap.stats
 }
 
 /// The generational-heap benchmark: a churn loop allocating short-lived
-/// lists while a large list stays live across the whole run. The legacy
-/// single-space collector re-marks the live list on every collection;
-/// minor collections never traverse it (it is old after one promotion,
-/// and old cells are cut points), and the optimized build pretenures it
-/// so it never even costs a promotion.
+/// lists while a large list stays live across the whole run. Minor
+/// collections never traverse the live list (it is old after its second
+/// survival, and old cells are cut points), and the optimized build
+/// pretenures it so it never even costs a promotion.
 fn gen_heap_workload() -> String {
     // The big list is the program result, so `mklist`'s cells provably
     // escape (pretenure target); the temporaries are consed inline and
@@ -245,10 +225,9 @@ fn gen_heap_workload() -> String {
         .to_owned()
 }
 
-/// Benchmarks the churn workload under three heap configurations —
-/// legacy single-space (`--gen-gc=off`), generational, and generational
-/// with the full pass manager (escape-informed pretenuring) — and
-/// returns the `"gen_gc"` JSON section.
+/// Benchmarks the churn workload on the generational heap, plain and
+/// with the full pass manager (escape-informed pretenuring), and returns
+/// the `"gen_heap"` JSON section.
 fn bench_gen_heap_section() -> String {
     let src = gen_heap_workload();
     let plain = build(&src);
@@ -258,64 +237,40 @@ fn bench_gen_heap_section() -> String {
         &optimized.analysis,
         &nml_opt::OptOptions::default(),
     );
-    let legacy_cfg = InterpConfig {
-        heap: HeapConfig {
-            gen_gc: false,
-            ..HeapConfig::default()
-        },
-        ..InterpConfig::default()
-    };
-    let gen_cfg = InterpConfig::default();
+    let cfg = InterpConfig::default();
     let mins = interleaved_mins(&mut [
         &mut || {
-            let mut vm = Vm::with_config(&plain.ir, legacy_cfg.clone()).expect("vm");
+            let mut vm = Vm::with_config(&plain.ir, cfg.clone()).expect("vm");
             black_box(vm.run().expect("vm run"));
         },
         &mut || {
-            let mut vm = Vm::with_config(&plain.ir, gen_cfg.clone()).expect("vm");
-            black_box(vm.run().expect("vm run"));
-        },
-        &mut || {
-            let mut vm = Vm::with_config(&optimized.ir, gen_cfg.clone()).expect("vm");
+            let mut vm = Vm::with_config(&optimized.ir, cfg.clone()).expect("vm");
             black_box(vm.run().expect("vm run"));
         },
     ]);
-    let (legacy_t, gen_t, pre_t) = (mins[0], mins[1], mins[2]);
-    let legacy_s = vm_stats(&plain, &legacy_cfg);
-    let gen_s = vm_stats(&plain, &gen_cfg);
-    let pre_s = vm_stats(&optimized, &gen_cfg);
-    assert_eq!(
-        legacy_s.minor_gcs, 0,
-        "legacy heap must never run a minor GC"
-    );
+    let (gen_t, pre_t) = (mins[0], mins[1]);
+    let gen_s = vm_stats(&plain, &cfg);
+    let pre_s = vm_stats(&optimized, &cfg);
     assert!(gen_s.minor_gcs > 0, "gen heap must exercise minor GCs");
     assert!(
         pre_s.pretenured > 0,
         "optimized build must route escaping sites old"
     );
-    let speedup = legacy_t.as_nanos() as f64 / gen_t.as_nanos().max(1) as f64;
-    let pre_speedup = legacy_t.as_nanos() as f64 / pre_t.as_nanos().max(1) as f64;
+    let speedup = gen_t.as_nanos() as f64 / pre_t.as_nanos().max(1) as f64;
     println!(
-        "bench gen_gc/churn_with_live_set: legacy {legacy_t:?} gen {gen_t:?} ({speedup:.2}x) \
-         gen+pretenure {pre_t:?} ({pre_speedup:.2}x)"
+        "bench gen_heap/churn_with_live_set: gen {gen_t:?} gen+pretenure {pre_t:?} ({speedup:.2}x)"
     );
-    let mut s = String::from("  \"gen_gc\": {\n");
+    let mut s = String::from("  \"gen_heap\": {\n");
     let _ = writeln!(s, "    \"workload\": \"churn_with_live_set\",");
     let _ = writeln!(
         s,
-        "    \"legacy\": {{ \"ns\": {}, {} }},",
-        legacy_t.as_nanos(),
-        gc_counters(&legacy_s)
-    );
-    let _ = writeln!(
-        s,
-        "    \"gen\": {{ \"ns\": {}, \"speedup_vs_legacy\": {speedup:.3}, {} }},",
+        "    \"gen\": {{ \"ns\": {}, {} }},",
         gen_t.as_nanos(),
         gc_counters(&gen_s)
     );
     let _ = writeln!(
         s,
-        "    \"gen_pretenured\": {{ \"ns\": {}, \"speedup_vs_legacy\": {pre_speedup:.3}, {} }}",
+        "    \"gen_pretenured\": {{ \"ns\": {}, \"speedup_vs_gen\": {speedup:.3}, {} }}",
         pre_t.as_nanos(),
         gc_counters(&pre_s)
     );

@@ -11,7 +11,7 @@
 //! during the traversal are kept on an owned worklist (an `Rc` bump, not
 //! a deep copy); plain cells travel as bare [`CellRef`] indices.
 
-use crate::heap::{CellRef, Heap};
+use crate::heap::{CellRef, GcKind, Heap};
 use crate::value::{CaptureEnv, Env, Value};
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -179,6 +179,27 @@ impl<'p> Marker<'p> {
         }
         self.marked
     }
+}
+
+/// Runs one collection at a GC poll, for both engines: `roots` registers
+/// the engine's root set (it may be called twice). A forced GC is major;
+/// otherwise [`Heap::collect_kind`] picks, and a minor that leaves the
+/// heap still wanting a collection escalates to a major in this poll.
+pub fn collect<'p>(heap: &mut Heap<'p>, force_major: bool, roots: impl Fn(&mut Marker<'p>)) {
+    if !force_major && heap.collect_kind() == GcKind::Minor {
+        let mut m = Marker::new(heap);
+        roots(&mut m);
+        m.root_remset(heap);
+        let marked = m.finish_minor(heap);
+        heap.sweep_minor(&marked);
+        if !heap.should_collect() {
+            return;
+        }
+    }
+    let mut m = Marker::new(heap);
+    roots(&mut m);
+    let marked = m.finish(heap);
+    heap.sweep(&marked);
 }
 
 /// Computes the mark bitmap for the given (borrowed) roots. Environments

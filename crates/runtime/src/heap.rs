@@ -48,10 +48,15 @@
 //! space — they are guaranteed minor-GC survivors, so the nursery slot
 //! and the promotion visit would be pure waste.
 //!
-//! A **major collection** is the pre-generational full mark–sweep
-//! (triggered by the live threshold, fault-plan capacity pressure, or a
-//! forced-GC fault): it frees unmarked cells of either generation and
-//! rebuilds the young list and remembered set.
+//! A **major collection** is a full mark–sweep (triggered by the live
+//! threshold, fault-plan capacity pressure, or a forced-GC fault): it
+//! frees unmarked cells of either generation and rebuilds the young list
+//! and remembered set.
+//!
+//! Which of the two runs at a GC poll — minor first, escalating to a
+//! major in the same poll when the minor leaves the heap under pressure
+//! — is decided in one place, [`crate::gc::collect`], which both engines
+//! call with their own root set.
 
 use crate::checked::{AccessKind, ClaimKind, RegionNote, Tombstone};
 use crate::error::RuntimeError;
@@ -166,11 +171,6 @@ pub struct HeapConfig {
     /// them, and any access to a tombstone is a structured
     /// [`RuntimeError::Soundness`] naming the site that made the claim.
     pub checked: bool,
-    /// Generational collection: allocate into a nursery, run minor
-    /// collections that scan only young cells, promote survivors. When
-    /// off, every allocation is old and only full collections run (the
-    /// pre-generational behavior).
-    pub gen_gc: bool,
     /// Nursery size in KiB (converted to a cell count); a minor
     /// collection runs when the nursery fills.
     pub nursery_kb: usize,
@@ -182,7 +182,6 @@ impl Default for HeapConfig {
             gc_threshold: 4096,
             gc_enabled: true,
             checked: false,
-            gen_gc: true,
             nursery_kb: 256,
         }
     }
@@ -263,12 +262,6 @@ impl<'p> Heap<'p> {
         }
     }
 
-    /// Whether generational collection is on.
-    #[inline]
-    fn gen_on(&self) -> bool {
-        self.config.gen_gc
-    }
-
     /// Number of cells currently in the nursery.
     pub fn young_len(&self) -> usize {
         self.young.len()
@@ -309,7 +302,7 @@ impl<'p> Heap<'p> {
         if !self.config.gc_enabled {
             return false;
         }
-        if self.gen_on() && self.young.len() >= self.nursery_cells {
+        if self.young.len() >= self.nursery_cells {
             return true;
         }
         if self.live as usize >= self.threshold && self.free.is_empty() {
@@ -321,16 +314,16 @@ impl<'p> Heap<'p> {
     }
 
     /// Which collection the next GC should be. Minor collections only
-    /// help when there are young cells to scan, so an empty nursery (or
-    /// generations off) demands a full collection, as does fault-plan
-    /// capacity pressure (capacity ignores the free list, which is all
-    /// a minor can refill). Ordinary threshold pressure stays minor:
-    /// most young cells are usually dead, and the engines escalate to a
+    /// help when there are young cells to scan, so an empty nursery
+    /// demands a full collection, as does fault-plan capacity pressure
+    /// (capacity ignores the free list, which is all a minor can
+    /// refill). Ordinary threshold pressure stays minor: most young
+    /// cells are usually dead, and [`crate::gc::collect`] escalates to a
     /// major in the same poll when a minor fails to relieve pressure —
     /// so a mostly-live nursery (e.g. one big list under construction)
     /// still reaches the threshold-doubling major instead of thrashing.
-    pub fn collect_kind(&self) -> GcKind {
-        if !self.gen_on() || self.young.is_empty() {
+    pub(crate) fn collect_kind(&self) -> GcKind {
+        if self.young.is_empty() {
             return GcKind::Major;
         }
         if self
@@ -483,13 +476,12 @@ impl<'p> Heap<'p> {
         };
         // Generation routing. Region cells are *neither* generation —
         // the region, not the GC, frees them. Everything else is old
-        // when generations are off (the legacy heap), when the site is
-        // pretenured, or when the nursery is full and no collection has
-        // run (GC disabled, or harness allocations between polls).
-        let gen = self.gen_on();
+        // when the site is pretenured, or when the nursery is full and no
+        // collection has run (GC disabled, or harness allocations between
+        // polls).
         let old = if region_gen.is_some() {
             false
-        } else if !gen || mode == AllocMode::Pretenured {
+        } else if mode == AllocMode::Pretenured {
             true
         } else if self.young.len() >= self.nursery_cells {
             self.stats.nursery_fallbacks += 1;
@@ -522,17 +514,15 @@ impl<'p> Heap<'p> {
         }
         if old {
             self.old_live += 1;
-            if gen {
-                // Allocation-time barrier: an old cell born holding a
-                // young reference is an old→young edge the next minor
-                // must know about.
-                let refs_young = {
-                    let c = &self.cells[idx as usize];
-                    self.may_ref_young(&c.car) || self.may_ref_young(&c.cdr)
-                };
-                if refs_young {
-                    self.remember(idx);
-                }
+            // Allocation-time barrier: an old cell born holding a young
+            // reference is an old→young edge the next minor must know
+            // about.
+            let refs_young = {
+                let c = &self.cells[idx as usize];
+                self.may_ref_young(&c.car) || self.may_ref_young(&c.cdr)
+            };
+            if refs_young {
+                self.remember(idx);
             }
         } else if region_gen.is_none() {
             self.young.push(idx);
@@ -629,12 +619,10 @@ impl<'p> Heap<'p> {
                                            // may be an old cut point). Without the region case, an
                                            // old→region→young chain built by DCONS would hide the young
                                            // cell from the next minor.
-        let barrier = self.gen_on()
-            && {
-                let c = &self.cells[r.0 as usize];
-                (c.old() || c.region != NO_REGION) && c.flags & F_REMSET == 0
-            }
-            && (self.may_ref_young(&car) || self.may_ref_young(&cdr));
+        let barrier = {
+            let c = &self.cells[r.0 as usize];
+            (c.old() || c.region != NO_REGION) && c.flags & F_REMSET == 0
+        } && (self.may_ref_young(&car) || self.may_ref_young(&cdr));
         let c = &mut self.cells[r.0 as usize];
         c.car = car;
         c.cdr = cdr;
@@ -1283,18 +1271,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_off_allocates_old_directly() {
-        let mut h: Heap<'_> = Heap::new(HeapConfig {
-            gen_gc: false,
-            ..HeapConfig::default()
-        });
-        let c = h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
-        assert!(h.is_old(c));
-        assert_eq!(h.young_len(), 0);
-        assert_eq!(h.remset_len(), 0, "no barrier bookkeeping when gen off");
-    }
-
-    #[test]
     fn full_nursery_falls_back_to_old_space() {
         // nursery_kb: 0 clamps to the 8-cell minimum; with GC disabled
         // no minor ever drains it, so the 9th allocation must go old.
@@ -1451,11 +1427,6 @@ mod tests {
         assert_eq!(h.collect_kind(), GcKind::Major, "empty nursery → major");
         h.alloc(Value::Int(1), Value::Nil, AllocMode::Heap);
         assert_eq!(h.collect_kind(), GcKind::Minor);
-        let off: Heap<'_> = Heap::new(HeapConfig {
-            gen_gc: false,
-            ..HeapConfig::default()
-        });
-        assert_eq!(off.collect_kind(), GcKind::Major);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
-use crate::gc::Marker;
-use crate::heap::{CellRef, GcKind, Heap, HeapConfig, RegionId};
+use crate::gc::{self, Marker};
+use crate::heap::{CellRef, Heap, HeapConfig, RegionId};
 use crate::value::{Closure, Env, PartialApp, PrimApp, Value};
 use nml_opt::{AllocMode, IrExpr, IrFunc, IrProgram, SiteId};
 use nml_syntax::{Const, Prim, Symbol};
@@ -643,41 +643,23 @@ impl<'p> Interp<'p> {
         prim2(&mut self.heap, p, a, b)
     }
 
-    /// Runs a garbage collection with the machine state as roots. A
-    /// fault-forced GC is always a full collection (the fault models
-    /// external memory pressure); otherwise the heap picks minor or
-    /// major. A minor that fails to relieve the pressure escalates to a
-    /// major in the same poll.
+    /// Runs a garbage collection ([`gc::collect`]) with the machine
+    /// state as roots.
     fn collect(&mut self, ctrl: &Ctrl<'p>, stack: &[Frame<'p>], force_major: bool) {
-        if !force_major && self.heap.collect_kind() == GcKind::Minor {
-            let mut m = Marker::new(&self.heap);
+        gc::collect(&mut self.heap, force_major, |m| {
             match ctrl {
                 Ctrl::Eval(_, env) => m.root_env(env),
                 Ctrl::Ret(v) => m.root_value(v),
             }
-            self.mark_roots(&mut m, stack);
-            m.root_remset(&self.heap);
-            let marked = m.finish_minor(&self.heap);
-            self.heap.sweep_minor(&marked);
-            if !self.heap.should_collect() {
-                return;
-            }
-        }
-        let mut m = Marker::new(&self.heap);
-        match ctrl {
-            Ctrl::Eval(_, env) => m.root_env(env),
-            Ctrl::Ret(v) => m.root_value(v),
-        }
-        self.mark_roots(&mut m, stack);
-        let marked = m.finish(&self.heap);
-        self.heap.sweep(&marked);
+            Self::mark_roots(&self.globals, m, stack);
+        });
     }
 
     /// Registers the exact root set — globals and the continuation stack
     /// — with the marker, by reference (the control value is rooted by
     /// the caller). Nothing is cloned here.
-    fn mark_roots(&self, m: &mut Marker<'p>, stack: &[Frame<'p>]) {
-        for v in self.globals.values() {
+    fn mark_roots(globals: &HashMap<Symbol, Value<'p>>, m: &mut Marker<'p>, stack: &[Frame<'p>]) {
+        for v in globals.values() {
             m.root_value(v);
         }
         for f in stack {
@@ -714,7 +696,7 @@ impl<'p> Interp<'p> {
     ) -> Result<(), RuntimeError> {
         let mut m = Marker::new(&self.heap);
         m.root_value(result);
-        self.mark_roots(&mut m, stack);
+        Self::mark_roots(&self.globals, &mut m, stack);
         let marked = m.finish(&self.heap);
         for &idx in self.heap.innermost_region_cells() {
             if marked[idx as usize] {
@@ -1198,7 +1180,7 @@ mod tests {
         let mut m = Marker::new(&i.heap);
         let ctrl_value = Value::Int(0);
         m.root_value(&ctrl_value);
-        i.mark_roots(&mut m, &stack);
+        Interp::mark_roots(&i.globals, &mut m, &stack);
         assert_eq!(m.roots_seen(), 3 + 1 + 1 + 2);
     }
 }

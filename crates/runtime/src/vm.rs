@@ -30,8 +30,8 @@
 use crate::bytecode::{compile, BytecodeProgram, GlobalDef, Op};
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
-use crate::gc::Marker;
-use crate::heap::{GcKind, Heap, RegionId};
+use crate::gc::{self, Marker};
+use crate::heap::{Heap, RegionId};
 use crate::interp::{prim1, prim2, InterpConfig, CANCEL_POLL_MASK};
 use crate::value::{
     CaptureEnv, PartialApp, PrimApp as PrimAppData, Value, VmClosure as VmClosureData,
@@ -356,6 +356,25 @@ struct Machine<'v, 'p> {
     func_index: &'v HashMap<Symbol, u32>,
     config: &'v InterpConfig,
     fault_inert: bool,
+}
+
+/// Registers the machine's exact root set: globals, every live frame's
+/// locals, the operand stack, and closure capture arrays.
+fn mark_roots<'p>(
+    m: &mut Marker<'p>,
+    globals: &[Value<'p>],
+    locals: &[Value<'p>],
+    stack: &[Value<'p>],
+    frames: &[Activation<'p>],
+) {
+    for v in globals.iter().chain(locals).chain(stack) {
+        m.root_value(v);
+    }
+    for fr in frames {
+        if let Some(env) = &fr.env {
+            m.root_captures(env);
+        }
+    }
 }
 
 /// Resolves closure-capture sources against the creating frame.
@@ -928,51 +947,25 @@ impl<'p> Machine<'_, 'p> {
         }
     }
 
-    /// Registers the machine's exact root set: globals, every live
-    /// frame's locals, the operand stack, and closure capture arrays.
-    fn mark_roots(&self, m: &mut Marker<'p>) {
-        for v in self.globals {
-            m.root_value(v);
-        }
-        for v in &self.locals {
-            m.root_value(v);
-        }
-        for v in &self.stack {
-            m.root_value(v);
-        }
-        for fr in &self.frames {
-            if let Some(env) = &fr.env {
-                m.root_captures(env);
-            }
-        }
-    }
-
-    /// Same minor/major dispatch as the tree-walker (the engines must
-    /// collect at identical points with identical scopes for the
-    /// differential suite to hold): forced GCs are major, a minor that
-    /// fails to relieve pressure escalates within the same poll.
+    /// Runs a garbage collection ([`gc::collect`], the policy shared
+    /// with the tree-walker) with the machine's exact root set.
     fn collect(&mut self, force_major: bool) {
-        if !force_major && self.heap.collect_kind() == GcKind::Minor {
-            let mut m = Marker::new(self.heap);
-            self.mark_roots(&mut m);
-            m.root_remset(self.heap);
-            let marked = m.finish_minor(self.heap);
-            self.heap.sweep_minor(&marked);
-            if !self.heap.should_collect() {
-                return;
-            }
-        }
-        let mut m = Marker::new(self.heap);
-        self.mark_roots(&mut m);
-        let marked = m.finish(self.heap);
-        self.heap.sweep(&marked);
+        gc::collect(self.heap, force_major, |m| {
+            mark_roots(m, self.globals, &self.locals, &self.stack, &self.frames);
+        });
     }
 
     /// Proves no cell of the innermost region is reachable from the
     /// machine state (the region's result is on the operand stack).
     fn validate_region(&mut self) -> Result<(), RuntimeError> {
         let mut m = Marker::new(self.heap);
-        self.mark_roots(&mut m);
+        mark_roots(
+            &mut m,
+            self.globals,
+            &self.locals,
+            &self.stack,
+            &self.frames,
+        );
         let marked = m.finish(self.heap);
         for &idx in self.heap.innermost_region_cells() {
             if marked[idx as usize] {

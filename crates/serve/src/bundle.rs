@@ -42,9 +42,7 @@ pub struct BundleConfig {
     pub default_fuel: Option<u64>,
     /// Server-default deadline for requests that specify none.
     pub default_timeout_ms: Option<u64>,
-    /// Generational heap enabled.
-    pub gen_gc: bool,
-    /// Nursery size (KiB) when generational.
+    /// Nursery size (KiB).
     pub nursery_kb: usize,
     /// Sites force-stacked by the sabotage plan (test harness knob).
     pub sabotage: Vec<u32>,
@@ -97,7 +95,6 @@ impl BundleConfig {
             steps_per_ms: cfg.steps_per_ms,
             default_fuel: cfg.default_fuel,
             default_timeout_ms: cfg.default_timeout_ms,
-            gen_gc: cfg.gen_gc,
             nursery_kb: cfg.nursery_kb,
             sabotage: cfg.sabotage.stack_sites.iter().map(|s| s.0).collect(),
             quarantine,
@@ -142,7 +139,6 @@ impl CrashBundle {
             ("steps_per_ms".into(), int(c.steps_per_ms)),
             ("default_fuel".into(), opt_int(c.default_fuel)),
             ("default_timeout_ms".into(), opt_int(c.default_timeout_ms)),
-            ("gen_gc".into(), Json::Bool(c.gen_gc)),
             ("nursery_kb".into(), int(c.nursery_kb as u64)),
             ("sabotage".into(), sites(&c.sabotage)),
             ("quarantine".into(), sites(&c.quarantine)),
@@ -178,7 +174,6 @@ impl CrashBundle {
             steps_per_ms: field_u64(c, "steps_per_ms")?,
             default_fuel: opt_field_u64(c, "default_fuel")?,
             default_timeout_ms: opt_field_u64(c, "default_timeout_ms")?,
-            gen_gc: field_bool(c, "gen_gc")?,
             nursery_kb: field_u64(c, "nursery_kb")? as usize,
             sabotage: field_sites(c, "sabotage")?,
             quarantine: field_sites(c, "quarantine")?,
@@ -352,7 +347,6 @@ mod tests {
                 steps_per_ms: 200_000,
                 default_fuel: Some(1_000_000),
                 default_timeout_ms: None,
-                gen_gc: false,
                 nursery_kb: 256,
                 sabotage: vec![0, 1, 2],
                 quarantine: vec![5],

@@ -82,7 +82,6 @@ fn serve_config_of(b: &BundleConfig) -> ServeConfig {
         },
         jobs: 1,
         summary_cache: None,
-        gen_gc: b.gen_gc,
         nursery_kb: b.nursery_kb,
         sabotage: SabotagePlan::stack(b.sabotage.iter().map(|s| SiteId(*s))),
         source_path: None,
@@ -383,6 +382,37 @@ mod tests {
         assert!(r1.reproduced, "kind {} msg {}", r1.kind, r1.message);
         assert_eq!(r1, r2, "two replays must agree exactly");
         assert_eq!(render_report(&b, &r1), render_report(&b, &r2));
+    }
+
+    /// Bundle files already on disk may come from builds that recorded a
+    /// `"gen_gc"` heap-mode key in `config`. The reader ignores keys it
+    /// does not know, so such a file still loads and replays with its
+    /// recorded outcome, whichever mode it names.
+    #[test]
+    fn bundle_with_a_gen_gc_key_loads_and_replays() {
+        for mode in ["true", "false"] {
+            let text = format!(
+                r#"{{"version":1,"kind":"worker_panicked","signature":"test","epoch":1,
+                  "program_hash":"0000000000000000",
+                  "src":"letrec mk n = if n = 0 then nil else cons n (mk (n - 1)) in mk 4",
+                  "request":"{{\"op\":\"eval\",\"id\":1,\"fault\":{{\"panic_at_alloc\":2}}}}",
+                  "site":null,
+                  "config":{{"checked":false,"optimize":true,"max_retries":4,"max_depth":null,
+                    "steps_per_ms":200000,"default_fuel":null,"default_timeout_ms":null,
+                    "gen_gc":{mode},"nursery_kb":256,"sabotage":[],"quarantine":[],
+                    "budget_passes":null,"budget_nodes":null}},
+                  "steps":0}}"#
+            );
+            let json = crate::json::parse(&text).expect("fixture is valid JSON");
+            let b = CrashBundle::from_json(&json).expect("a gen_gc key still loads");
+            let r = replay(&b).expect("replay");
+            assert!(
+                r.reproduced,
+                "gen_gc={mode}: kind {} msg {}",
+                r.kind, r.message
+            );
+            assert_eq!(r.kind, "worker_panicked");
+        }
     }
 
     #[test]

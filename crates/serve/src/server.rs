@@ -92,9 +92,6 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Persistent escape-summary cache path.
     pub summary_cache: Option<PathBuf>,
-    /// Generational collection in each worker's heap (see
-    /// `HeapConfig::gen_gc`).
-    pub gen_gc: bool,
     /// Worker nursery size in KiB (see `HeapConfig::nursery_kb`).
     pub nursery_kb: usize,
     /// Deliberate wrong claims (sentinel/chaos testing): forced on every
@@ -132,7 +129,6 @@ impl Default for ServeConfig {
             budget: Budget::unlimited(),
             jobs: 1,
             summary_cache: None,
-            gen_gc: HeapConfig::default().gen_gc,
             nursery_kb: HeapConfig::default().nursery_kb,
             sabotage: SabotagePlan::default(),
             source_path: None,
@@ -564,7 +560,6 @@ pub(crate) fn base_interp_config(cfg: &ServeConfig, checked: bool) -> InterpConf
     let mut c = InterpConfig {
         heap: HeapConfig {
             checked,
-            gen_gc: cfg.gen_gc,
             nursery_kb: cfg.nursery_kb,
             ..HeapConfig::default()
         },

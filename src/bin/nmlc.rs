@@ -69,7 +69,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result: Result<(), Failure> = match cmd {
+    let result = check_args(cmd, rest).map_err(Failure::from);
+    let result: Result<(), Failure> = result.and_then(|()| match cmd {
         "check" => cmd_check(rest).map_err(Failure::from),
         "fmt" => cmd_fmt(rest).map_err(Failure::from),
         "analyze" => cmd_analyze(rest).map_err(Failure::from),
@@ -84,7 +85,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(Failure::from(format!("unknown command `{other}`\n{USAGE}"))),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(f) => {
@@ -97,6 +98,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: nmlc <command> <file> [flags]
+
+flag values are joined with `=` (e.g. --fuel=N); unknown flags are errors
 
 commands:
   check   <file>                 parse and type-check; print signatures
@@ -183,10 +186,6 @@ checked-optimization flags (run):
                            (license-not-obligation demonstration)
 
 generational-heap flags (run/serve):
-  --gen-gc=on|off      generational collection: allocate into a nursery,
-                       scan only young cells at a minor GC, promote
-                       survivors in place (default on); escape-proven
-                       sites pretenure straight into the old space
   --nursery-kb=N       nursery size in KiB (default 256); a minor
                        collection runs when it fills
 
@@ -198,8 +197,8 @@ resource-limit flags (run; serve takes them as per-request defaults):
   --max-depth=N        call-depth limit; deep non-tail recursion fails
                        with stack_overflow (tail calls are unaffected)
 
-serve flags (serve also accepts -O/--no-optimize, --checked,
---max-retries, and the analysis budget/scheduling flags):
+serve flags (serve also accepts -O/--no-optimize, --checked, --max-retries=N,
+and the analysis budget and scheduling flags except --strict):
   --socket=PATH        unix socket path (default: <file>.sock)
   --workers=N          worker threads, one private heap each (default 4)
   --queue-cap=N        admission-queue bound; past it requests are shed
@@ -239,6 +238,69 @@ call fault flags (forwarded in the request, for crash-drill testing):
   --fault-panic-at-alloc=N  inject a worker panic at allocation #N
 
 run also accepts --profile (hottest allocation/reuse sites) and --stats";
+
+// The flags each command reads, as space-separated lists; a flag that
+// takes a value is listed with its trailing `=`.
+const ANALYSIS_FLAGS: &str = "--max-passes= --max-nodes= --deadline-ms= --jobs= --summary-cache=";
+const OPT_FLAGS: &str = "-O --optimize --stack-alloc --local-stack-alloc --auto-reuse --sroa \
+     --no-sroa --engine= --strict";
+const RUN_FLAGS: &str = "--stats --profile --fault-seed= --heap-capacity= --fault-alloc-retreat= \
+     --fault-region-deny= --fault-forced-gc= --fault-gc-at= --checked --max-retries= \
+     --quarantine-file= --fault-unsound-stack= --fault-unsound-elide=";
+const LIMIT_FLAGS: &str = "--fuel= --timeout-ms= --max-depth= --nursery-kb=";
+const SERVE_FLAGS: &str = "--socket= --workers= --queue-cap= --steps-per-ms= --watch --crash-dir= \
+     --crash-ring-cap= --crash-escalate-after= -O --optimize --no-optimize --checked --max-retries=";
+const CALL_FLAGS: &str =
+    "--socket= --ping --stats --healthz --reload --shutdown --shutdown= --eval \
+     --call= --args= --fuel= --timeout-ms= --fault-panic-at-alloc= --retries= --retry-budget= \
+     --backoff-ms= --backoff-cap-ms= --call-deadline-ms=";
+
+/// Rejects what `cmd` would otherwise ignore in silence: a positional
+/// argument beyond those it takes, a flag it does not read, a value
+/// flag written without `=` (its value would read as a stray
+/// positional), and a value given to a flag that takes none.
+fn check_args(cmd: &str, rest: &[String]) -> Result<(), String> {
+    let (positionals, lists): (usize, &[&str]) = match cmd {
+        "check" | "fmt" => (1, &[]),
+        "analyze" => (1, &["--mono --report --watch --strict", ANALYSIS_FLAGS]),
+        "ir" => (1, &[OPT_FLAGS, ANALYSIS_FLAGS]),
+        "run" => (1, &[OPT_FLAGS, ANALYSIS_FLAGS, RUN_FLAGS, LIMIT_FLAGS]),
+        "serve" => (1, &[SERVE_FLAGS, ANALYSIS_FLAGS, LIMIT_FLAGS]),
+        "call" => (0, &[CALL_FLAGS]),
+        "replay" => (1, &["--minimize"]),
+        "gen-corpus" => (0, &["--seed= --shape= --out="]),
+        _ => return Ok(()), // `help`, or an unknown command (reported later)
+    };
+    let known = |f: &str| lists.iter().any(|l| l.split_whitespace().any(|k| k == f));
+    let mut seen = 0;
+    for (i, arg) in rest.iter().enumerate() {
+        let (name, valued) = arg
+            .split_once('=')
+            .map_or((arg.as_str(), false), |(n, _)| (n, true));
+        let as_value = format!("{name}=");
+        let problem = if !arg.starts_with('-') {
+            seen += 1;
+            if seen <= positionals {
+                continue;
+            }
+            format!("unexpected argument `{arg}` (a flag's value is written `--flag=value`)")
+        } else if known(if valued { &as_value } else { name }) {
+            continue;
+        } else if !valued && known(&as_value) {
+            let value = rest.get(i + 1).filter(|v| !v.starts_with('-'));
+            format!(
+                "`{name}` takes a value; write `{name}={}`",
+                value.map_or("VALUE", |v| v)
+            )
+        } else if valued && known(name) {
+            format!("`{name}` takes no value (got `{arg}`)")
+        } else {
+            format!("unknown flag `{arg}`")
+        };
+        return Err(format!("nmlc {cmd}: {problem}; see `nmlc help`"));
+    }
+    Ok(())
+}
 
 fn read_file(rest: &[String]) -> Result<(String, String), String> {
     let path = rest
@@ -396,9 +458,9 @@ fn fault_from_flags(rest: &[String]) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-/// Applies the resource-limit flags (`--fuel`, `--timeout-ms`,
-/// `--max-depth`) to an interpreter configuration. An explicit fuel
-/// budget wins over a deadline.
+/// Applies the resource-limit and heap flags (`--fuel`, `--timeout-ms`,
+/// `--max-depth`, `--nursery-kb`) to an interpreter configuration. An
+/// explicit fuel budget wins over a deadline.
 fn resource_flags_into(rest: &[String], config: &mut InterpConfig) -> Result<(), String> {
     if let Some(f) = parse_num_flag::<u64>(rest, "--fuel")? {
         config.fuel = Some(f);
@@ -407,19 +469,6 @@ fn resource_flags_into(rest: &[String], config: &mut InterpConfig) -> Result<(),
     }
     if let Some(d) = parse_num_flag::<usize>(rest, "--max-depth")? {
         config.max_depth = d;
-    }
-    heap_flags_into(rest, config)
-}
-
-/// Applies the generational-heap flags (`--gen-gc=on|off`,
-/// `--nursery-kb=N`) to an interpreter configuration.
-fn heap_flags_into(rest: &[String], config: &mut InterpConfig) -> Result<(), String> {
-    if let Some(v) = flag_value(rest, "--gen-gc") {
-        config.heap.gen_gc = match v {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--gen-gc: `{other}` is not a mode (on or off)")),
-        };
     }
     if let Some(kb) = parse_num_flag::<usize>(rest, "--nursery-kb")? {
         config.heap.nursery_kb = kb;
@@ -805,13 +854,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     cfg.max_depth = parse_num_flag::<usize>(rest, "--max-depth")?;
     if let Some(n) = parse_num_flag::<u64>(rest, "--steps-per-ms")? {
         cfg.steps_per_ms = n.max(1);
-    }
-    if let Some(v) = flag_value(rest, "--gen-gc") {
-        cfg.gen_gc = match v {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--gen-gc: `{other}` is not a mode (on or off)")),
-        };
     }
     if let Some(kb) = parse_num_flag::<usize>(rest, "--nursery-kb")? {
         cfg.nursery_kb = kb;

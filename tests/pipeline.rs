@@ -232,6 +232,95 @@ fn nmlc(cmd: &str, path: &std::path::Path, args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 output")
 }
 
+/// Runs nmlc with exactly `args`.
+fn nmlc_output<'a>(args: impl IntoIterator<Item = &'a str>) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_nmlc"))
+        .args(args)
+        .output()
+        .expect("nmlc runs")
+}
+
+/// Arguments a command would otherwise ignore are usage errors that
+/// name the token: a value flag in the space form, a misspelt or unknown
+/// flag, a value on a flag that takes none, and a second positional.
+#[test]
+fn nmlc_rejects_stray_arguments_and_unknown_flags() {
+    let p = concat!(env!("CARGO_MANIFEST_DIR"), "/programs/naive_reverse.nml");
+    for (args, token) in [
+        (vec!["run", p, "--fuel", "10"], "--fuel=10"),
+        (vec!["run", p, "--stak-alloc"], "--stak-alloc"),
+        (vec!["run", p, "--no-such-flag=off"], "--no-such-flag=off"),
+        (vec!["serve", p, "--stak-alloc"], "--stak-alloc"),
+        (vec!["run", p, "--stats=yes"], "--stats=yes"),
+        (vec!["run", p, "other.nml"], "other.nml"),
+        (vec!["analyze", p, "--jobs", "4"], "--jobs=4"),
+        (vec!["call", "--socket=s", "--ping", "stray"], "stray"),
+    ] {
+        let out = nmlc_output(args.iter().copied());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "nmlc {args:?} succeeded");
+        assert!(
+            err.contains(token),
+            "nmlc {args:?}: `{token}` not in {err:?}"
+        );
+    }
+}
+
+/// Every flag the help text names is accepted by some command, so the
+/// accepted set and the help text cannot drift apart. A flag counts as
+/// accepted when the argument check passes over it and stops at the
+/// stray positional that follows it (before any file is read).
+#[test]
+fn nmlc_accepts_every_flag_its_usage_names() {
+    let usage = String::from_utf8(nmlc_output(["help"]).stdout).expect("utf-8 usage");
+    let mut flags: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || "[](),/|;:`".contains(c))
+        .filter(|t| {
+            *t == "-O"
+                || t.strip_prefix("--")
+                    .is_some_and(|r| r.starts_with(|c: char| c.is_ascii_alphabetic()))
+        })
+        .map(|t| t.find('=').map_or(t, |i| &t[..=i]))
+        .collect();
+    flags.sort_unstable();
+    flags.dedup();
+    assert!(
+        flags.len() >= 55,
+        "too few flags parsed from USAGE: {flags:?}"
+    );
+    for flag in flags {
+        let token = if flag.ends_with('=') {
+            format!("{flag}1")
+        } else {
+            flag.to_owned()
+        };
+        let accepted = [
+            "run",
+            "serve",
+            "call",
+            "analyze",
+            "ir",
+            "replay",
+            "gen-corpus",
+        ]
+        .into_iter()
+        .any(|cmd| {
+            let file = (!matches!(cmd, "call" | "gen-corpus")).then_some("FILE");
+            let out = nmlc_output(
+                [cmd]
+                    .into_iter()
+                    .chain(file)
+                    .chain([token.as_str(), "STRAY"]),
+            );
+            String::from_utf8_lossy(&out.stderr).contains("unexpected argument `STRAY`")
+        });
+        assert!(
+            accepted,
+            "USAGE names `{flag}` but no nmlc command accepts it"
+        );
+    }
+}
+
 #[test]
 fn shipped_programs_run_under_every_nmlc_mode() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
